@@ -29,7 +29,7 @@ use std::fmt;
 use wfc_spec::control::{Budget, CancelToken, Progress};
 use wfc_spec::prng::SplitMix64;
 
-use crate::exec::{self, Access, Decider, Execution, Pool};
+use crate::exec::{self, Access, Decider, Execution, Pool, RunResult, ThreadSet};
 use crate::schedule::Schedule;
 
 /// Which exploration strategy to run.
@@ -242,8 +242,8 @@ pub fn explore<F: FnMut() -> Execution>(
             for _ in 0..runs {
                 poll(options, &stats)?;
                 stats.rounds += 1;
-                let mut decider = PctDecider::new(&mut rng, depth, horizon);
-                let res = exec::run_one(&mut pool, &mut build, &mut decider, options.budget.steps);
+                let decider = PctDecider::new(&mut rng, depth, horizon);
+                let (res, _) = exec::run_one(&mut pool, &mut build, decider, options.budget.steps);
                 if res.aborted {
                     return Err(SchedError::StepLimit {
                         limit: options.budget.steps,
@@ -251,7 +251,7 @@ pub fn explore<F: FnMut() -> Execution>(
                     });
                 }
                 horizon = res.steps.max(1);
-                tally(&mut stats, res.steps, res.preemptions);
+                tally(&mut stats, &res);
                 if let Some(message) = res.violation {
                     stats.counterexample = Some(Counterexample {
                         schedule: res.schedule,
@@ -318,15 +318,10 @@ pub fn replay<F: FnMut() -> Execution>(
     mut build: F,
 ) -> Result<Replayed, SchedError> {
     let mut pool = Pool::new();
-    let mut decider = ReplayDecider {
-        schedule: schedule.choices(),
+    let decider = ReplayDecider {
+        schedule: schedule.choices().to_vec(),
     };
-    let res = exec::run_one(
-        &mut pool,
-        &mut build,
-        &mut decider,
-        schedule.len() as u64 + 1,
-    );
+    let (res, _) = exec::run_one(&mut pool, &mut build, decider, schedule.len() as u64 + 1);
     if let Some(msg) = res.decider_error {
         return Err(SchedError::Replay(msg));
     }
@@ -345,13 +340,15 @@ pub fn replay<F: FnMut() -> Execution>(
     })
 }
 
-fn tally(stats: &mut Exploration, steps: u64, preemptions: u32) {
+fn tally(stats: &mut Exploration, res: &RunResult) {
     stats.schedules += 1;
-    stats.steps += steps;
-    stats.max_depth = stats.max_depth.max(steps);
-    stats.max_preemptions = stats.max_preemptions.max(preemptions);
+    stats.steps += res.steps;
+    stats.max_depth = stats.max_depth.max(res.steps);
+    stats.max_preemptions = stats.max_preemptions.max(res.preemptions);
     wfc_obs::counter!("sched.schedules");
-    wfc_obs::histogram!("sched.preemptions", preemptions);
+    wfc_obs::counter!("sched.handoffs", res.handoffs);
+    wfc_obs::counter!("sched.self_grants", res.self_grants);
+    wfc_obs::histogram!("sched.preemptions", res.preemptions);
 }
 
 /// A deferred DFS branch: the schedule prefix to replay and the sleep
@@ -372,8 +369,9 @@ fn dfs<F: FnMut() -> Execution>(
     let mut stack: Vec<Branch> = vec![(Vec::new(), Vec::new())];
     while let Some((prefix, sleep)) = stack.pop() {
         poll(options, stats)?;
-        let mut decider = DfsDecider {
-            prefix: &prefix,
+        let decider = DfsDecider {
+            replayed: prefix.len(),
+            path: prefix,
             sleep,
             use_sleep: sleep_sets,
             preemption_bound,
@@ -381,10 +379,9 @@ fn dfs<F: FnMut() -> Execution>(
             bounded: false,
             dead: false,
             pruned: 0,
-            taken: Vec::new(),
             siblings: Vec::new(),
         };
-        let res = exec::run_one(pool, build, &mut decider, options.budget.steps);
+        let (res, decider) = exec::run_one(pool, build, decider, options.budget.steps);
         if let Some(msg) = res.decider_error {
             // A prefix generated by a previous run must replay cleanly;
             // failure means the scenario is not deterministic.
@@ -398,7 +395,7 @@ fn dfs<F: FnMut() -> Execution>(
                 schedule: res.schedule,
             });
         }
-        tally(stats, res.steps, res.preemptions);
+        tally(stats, &res);
         stats.pruned += decider.pruned;
         wfc_obs::counter!("sched.pruned", decider.pruned);
         bounded |= decider.bounded;
@@ -420,8 +417,12 @@ fn dfs<F: FnMut() -> Execution>(
 
 /// DFS decider: follows a prefix, then takes default choices while
 /// generating sibling prefixes with their sleep sets.
-struct DfsDecider<'a> {
-    prefix: &'a [u8],
+struct DfsDecider {
+    /// The schedule so far: the replayed prefix, then the choices this
+    /// run made past it.
+    path: Vec<u8>,
+    /// How many leading steps of `path` replay the branch's prefix.
+    replayed: usize,
     /// Current sleep set: threads (with the access they announced when
     /// put to sleep) whose scheduling would re-explore a covered
     /// subtree.
@@ -434,73 +435,69 @@ struct DfsDecider<'a> {
     /// and must not branch further.
     dead: bool,
     pruned: u64,
-    taken: Vec<u8>,
     siblings: Vec<Branch>,
 }
 
-impl DfsDecider<'_> {
-    fn switch_cost(prev: Option<usize>, to: usize, choosable: &[usize]) -> u32 {
-        u32::from(prev.is_some_and(|p| p != to && choosable.contains(&p)))
+impl DfsDecider {
+    fn switch_cost(prev: Option<usize>, to: usize, choosable: ThreadSet) -> u32 {
+        u32::from(prev.is_some_and(|p| p != to && choosable.contains(p)))
     }
 }
 
-impl Decider for DfsDecider<'_> {
+impl Decider for DfsDecider {
     fn choose(
         &mut self,
         step: usize,
-        choosable: &[usize],
-        enabled: &[usize],
+        choosable: ThreadSet,
+        enabled: ThreadSet,
         pending: &[Option<Access>],
         prev: Option<usize>,
     ) -> Result<usize, String> {
-        if step < self.prefix.len() {
-            let want = self.prefix[step] as usize;
-            if !enabled.contains(&want) {
+        if step < self.replayed {
+            let want = self.path[step] as usize;
+            if !enabled.contains(want) {
                 return Err(format!("step {step}: thread {want} is not enabled"));
             }
             self.preemptions += Self::switch_cost(prev, want, choosable);
-            self.taken.push(want as u8);
             return Ok(want);
         }
-        let asleep = |t: usize| {
-            self.sleep
-                .iter()
-                .any(|&(s, a)| s == t && Some(a) == pending[t])
-        };
-        let candidates: Vec<usize> = if self.use_sleep && !self.dead {
-            choosable.iter().copied().filter(|&t| !asleep(t)).collect()
+        let candidates: ThreadSet = if self.use_sleep && !self.dead {
+            let asleep = |t: usize| {
+                self.sleep
+                    .iter()
+                    .any(|&(s, a)| s == t && Some(a) == pending[t])
+            };
+            choosable.iter().filter(|&t| !asleep(t)).collect()
         } else {
-            choosable.to_vec()
+            choosable
         };
         self.pruned += (choosable.len() - candidates.len()) as u64;
-        let (chosen, branch) = if candidates.is_empty() {
-            self.dead = true;
-            (choosable[0], false)
-        } else {
+        let (chosen, branch) = match candidates.first() {
+            None => {
+                self.dead = true;
+                (choosable.first().expect("choosable is never empty"), false)
+            }
             // Preemption mode prefers continuing the previous thread so
             // the default path stays within every bound.
-            let keep_prev =
-                self.preemption_bound.is_some() && prev.is_some_and(|p| candidates.contains(&p));
-            (
-                if keep_prev {
-                    prev.unwrap()
-                } else {
-                    candidates[0]
-                },
-                !self.dead,
-            )
+            Some(first) => match prev {
+                Some(p) if self.preemption_bound.is_some() && candidates.contains(p) => {
+                    (p, !self.dead)
+                }
+                _ => (first, !self.dead),
+            },
         };
-        if branch {
+        if branch && candidates.len() > 1 {
             let mut sibling_sleep = self.sleep.clone();
             sibling_sleep.push((chosen, pending[chosen].expect("chosen is enabled")));
-            for &alt in candidates.iter().filter(|&&t| t != chosen) {
+            for alt in candidates.iter().filter(|&t| t != chosen) {
                 if let Some(bound) = self.preemption_bound {
                     if self.preemptions + Self::switch_cost(prev, alt, choosable) > bound {
                         self.bounded = true;
                         continue;
                     }
                 }
-                let mut alt_prefix = self.taken.clone();
+                let mut alt_prefix = Vec::with_capacity(step + 1);
+                alt_prefix.extend_from_slice(&self.path);
                 alt_prefix.push(alt as u8);
                 // The sibling's sleep set holds at the state *after* its
                 // prefix, whose final step is `alt` itself — so entries
@@ -522,7 +519,7 @@ impl Decider for DfsDecider<'_> {
         self.sleep
             .retain(|&(t, a)| t != chosen && a.independent(acc));
         self.preemptions += Self::switch_cost(prev, chosen, choosable);
-        self.taken.push(chosen as u8);
+        self.path.push(chosen as u8);
         Ok(chosen)
     }
 }
@@ -560,58 +557,57 @@ impl PctDecider {
         }
         self.priorities[t]
     }
-}
 
-impl Decider for PctDecider {
-    fn choose(
-        &mut self,
-        _step: usize,
-        choosable: &[usize],
-        _enabled: &[usize],
-        _pending: &[Option<Access>],
-        _prev: Option<usize>,
-    ) -> Result<usize, String> {
-        self.steps += 1;
-        let mut pick = choosable[0];
+    /// The highest-priority thread of `choosable`; the lowest id wins a
+    /// tie.
+    fn highest(&mut self, choosable: ThreadSet) -> usize {
+        let mut threads = choosable.iter();
+        let mut pick = threads.next().expect("choosable is never empty");
         let mut best = self.priority(pick);
-        for &t in &choosable[1..] {
+        for t in threads {
             let p = self.priority(t);
             if p > best {
                 best = p;
                 pick = t;
             }
         }
+        pick
+    }
+}
+
+impl Decider for PctDecider {
+    fn choose(
+        &mut self,
+        _step: usize,
+        choosable: ThreadSet,
+        _enabled: ThreadSet,
+        _pending: &[Option<Access>],
+        _prev: Option<usize>,
+    ) -> Result<usize, String> {
+        self.steps += 1;
+        let pick = self.highest(choosable);
         if self.change_at.contains(&self.steps) {
             // Demote the thread about to run below everything else and
             // re-pick.
             self.next_low -= 1;
             self.priorities[pick] = self.next_low;
-            let mut repick = choosable[0];
-            let mut best = self.priority(repick);
-            for &t in &choosable[1..] {
-                let p = self.priority(t);
-                if p > best {
-                    best = p;
-                    repick = t;
-                }
-            }
-            pick = repick;
+            return Ok(self.highest(choosable));
         }
         Ok(pick)
     }
 }
 
 /// Replay decider: the recorded schedule, verbatim.
-struct ReplayDecider<'a> {
-    schedule: &'a [u8],
+struct ReplayDecider {
+    schedule: Vec<u8>,
 }
 
-impl Decider for ReplayDecider<'_> {
+impl Decider for ReplayDecider {
     fn choose(
         &mut self,
         step: usize,
-        _choosable: &[usize],
-        enabled: &[usize],
+        _choosable: ThreadSet,
+        enabled: ThreadSet,
         _pending: &[Option<Access>],
         _prev: Option<usize>,
     ) -> Result<usize, String> {
@@ -622,7 +618,7 @@ impl Decider for ReplayDecider<'_> {
             ));
         };
         let want = want as usize;
-        if !enabled.contains(&want) {
+        if !enabled.contains(want) {
             return Err(format!(
                 "step {step}: schedule names thread {want}, which is not enabled"
             ));
