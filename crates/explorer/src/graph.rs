@@ -9,15 +9,16 @@
 //!
 //! Discovery is a level-synchronised breadth-first search; with
 //! [`ExploreOptions::threads`] > 1 each frontier is sharded across a
-//! scoped thread pool. Workers only *expand* configurations — all
-//! interning happens on the coordinator, in frontier order, after the
-//! level joins. Node numbering is therefore identical at every thread
-//! count (not merely the node *set*), and the configs budget is exact:
-//! the build aborts the moment the `budget.configs + 1`-st distinct
-//! configuration appears, with no end-of-level overshoot. Cycle
-//! detection and the post-order are computed afterwards by a cheap
-//! sequential pass over the already-built adjacency, which touches no
-//! program state.
+//! scoped thread pool of which the coordinator is one worker (a level
+//! at `n` threads spawns `n - 1`). Workers only *expand*
+//! configurations — all interning happens on the coordinator, in
+//! frontier order, after the level joins. Node numbering is therefore
+//! identical at every thread count (not merely the node *set*), and the
+//! configs budget is exact: the build aborts the moment the
+//! `budget.configs + 1`-st distinct configuration appears, with no
+//! end-of-level overshoot. Cycle detection and the post-order are
+//! computed afterwards by a cheap sequential pass over the already-built
+//! adjacency, which touches no program state.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
@@ -200,17 +201,19 @@ impl ConfigGraph {
             } else {
                 threads
             };
+            let expand = || expand_worker(system, &configs, &frontier, &next);
             let parts: Vec<LevelPart> = if level_workers <= 1 {
-                vec![expand_worker(system, &configs, &frontier, &next)]
+                vec![expand()]
             } else {
                 std::thread::scope(|s| {
-                    let workers: Vec<_> = (0..level_workers)
-                        .map(|_| s.spawn(|| expand_worker(system, &configs, &frontier, &next)))
-                        .collect();
-                    workers
-                        .into_iter()
-                        .map(|w| w.join().expect("worker panicked"))
-                        .collect()
+                    let helpers: Vec<_> = (1..level_workers).map(|_| s.spawn(expand)).collect();
+                    let mut parts = vec![expand()];
+                    parts.extend(
+                        helpers
+                            .into_iter()
+                            .map(|w| w.join().expect("worker panicked")),
+                    );
+                    parts
                 })
             };
 

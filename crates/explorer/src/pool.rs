@@ -5,7 +5,9 @@
 //! (plain `std::thread::scope`; the workspace builds offline, without an
 //! external runtime) and returns results **in item order**, so callers
 //! that merge results left-to-right are deterministic regardless of
-//! scheduling.
+//! scheduling. The calling thread is one of the workers: a pool of `n`
+//! spawns only `n - 1` threads, so no thread sits idle in the join and
+//! no extra thread (with its own allocator arena) is ever live.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -17,9 +19,10 @@ use wfc_waitfree::ResultCell;
 /// returning the results in item order.
 ///
 /// `threads <= 1` runs inline on the calling thread with no overhead.
-/// Work is claimed item-by-item from a shared atomic cursor, so uneven
-/// item costs (the trees of different input vectors can differ wildly in
-/// size) still balance.
+/// Otherwise `threads - 1` scoped threads are spawned and the caller
+/// joins them in claiming work. Work is claimed item-by-item from a
+/// shared atomic cursor, so uneven item costs (the trees of different
+/// input vectors can differ wildly in size) still balance.
 pub fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -44,30 +47,49 @@ where
     let slots: Vec<ResultCell<R>> = items.iter().map(|_| ResultCell::new()).collect();
     let cursor = AtomicUsize::new(0);
     let workers = threads.min(items.len());
+    let work = || claim(items, &slots, &cursor, &f, obs);
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let started = obs.then(Instant::now);
-                let mut claims = 0u64;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    claims += 1;
-                    slots[i].set(f(item));
-                }
-                if let Some(t0) = started {
-                    let reg = Registry::global();
-                    reg.histogram("pool.worker.claims").record(claims);
-                    reg.histogram("pool.worker.busy_ns")
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
-            });
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        work();
+        // Join explicitly: unlike the scope's own wait, a join returns
+        // only once the thread has exited and released its malloc
+        // arena, so the next pool's threads reuse that arena instead of
+        // racing its release and creating another.
+        for h in helpers {
+            h.join().expect("pool worker panicked");
         }
     });
     slots
         .iter()
         .map(|slot| slot.take().expect("every slot filled by a worker"))
         .collect()
+}
+
+/// One worker's claim loop. Never inlined, so the caller and the
+/// spawned threads share one copy of `f`'s code instead of each
+/// carrying its own.
+#[inline(never)]
+fn claim<T, R: Send, F: Fn(&T) -> R>(
+    items: &[T],
+    slots: &[ResultCell<R>],
+    cursor: &AtomicUsize,
+    f: &F,
+    obs: bool,
+) {
+    let started = obs.then(Instant::now);
+    let mut claims = 0u64;
+    loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        claims += 1;
+        slots[i].set(f(item));
+    }
+    if let Some(t0) = started {
+        let reg = Registry::global();
+        reg.histogram("pool.worker.claims").record(claims);
+        reg.histogram("pool.worker.busy_ns")
+            .record(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +110,22 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         assert!(parallel_map(4, &none, |&x| x).is_empty());
         assert_eq!(parallel_map(4, &[7], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Every item waits for a second one to run beside it, so no
+        // single thread can take them all: both workers of a two-thread
+        // pool must run items, and one of them must be the caller.
+        let meet = std::sync::Barrier::new(2);
+        let caller = std::thread::current().id();
+        let ids = parallel_map(2, &[0u8; 4], |_| {
+            meet.wait();
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 2, "{ids:?}");
+        assert!(ids.contains(&caller), "the caller ran no item: {ids:?}");
     }
 
     #[test]

@@ -21,31 +21,17 @@
 //!   race. Every candidate fails: `h_1(mpr1) = 1` on this family.
 //!
 //! Each sweep is exhaustive over its strategy space and model-checks
-//! every candidate against every input vector and every schedule,
-//! mirroring [`crate::impossibility::search_one_round_protocols`].
+//! every candidate against every input vector and every schedule, on
+//! the same parallel runner as
+//! [`crate::impossibility::search_one_round_protocols`].
 
 use std::sync::Arc;
 
 use wfc_explorer::program::{BinOp, ProgramBuilder};
-use wfc_explorer::{explore, ExploreOptions, ExplorerError, ObjectInstance, Progress, System};
+use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
 use wfc_spec::{canonical, PortId};
 
-/// The sweep-level control poll (cancellation + wall budget), once per
-/// candidate; progress reported on the `steps` axis.
-fn sweep_poll(opts: &ExploreOptions, explorations: usize) -> Result<(), ExplorerError> {
-    let progress = Progress {
-        steps: explorations as u64,
-        ..Progress::default()
-    };
-    if opts.cancel.is_cancelled() {
-        progress.record();
-        return Err(ExplorerError::Cancelled { progress });
-    }
-    if let Some(e) = opts.budget.wall_exceeded(progress) {
-        return Err(ExplorerError::Exhausted(e));
-    }
-    Ok(())
-}
+use crate::sweep::{self, Swept};
 
 /// Outcome of a family sweep: candidates examined, survivors (the
 /// impossibility predicts zero), explorations performed.
@@ -59,6 +45,16 @@ pub struct FamilyOutcome {
     /// Exhaustive explorations performed (early termination per
     /// candidate on the first failing input vector).
     pub explorations: usize,
+}
+
+impl<C> From<Swept<C>> for FamilyOutcome {
+    fn from(swept: Swept<C>) -> FamilyOutcome {
+        FamilyOutcome {
+            candidates: swept.candidates,
+            survivor_count: swept.survivors.len(),
+            explorations: swept.explorations,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -101,7 +97,7 @@ impl Shift1Strategy {
     }
 }
 
-fn build_shift1_system(s0: Shift1Strategy, s1: Shift1Strategy, inputs: [bool; 2]) -> System {
+fn build_shift1_system([s0, s1]: [Shift1Strategy; 2], inputs: [bool; 2]) -> System {
     let reg = Arc::new(canonical::boolean_register(2));
     let shift = Arc::new(canonical::shift_register(1, 2));
     let v0 = reg.state_id("v0").unwrap();
@@ -158,43 +154,15 @@ fn build_shift1_system(s0: Shift1Strategy, s1: Shift1Strategy, inputs: [bool; 2]
 ///
 /// Propagates cancellation and budget exhaustion.
 pub fn search_shift1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
-    let _span = wfc_obs::span::enter_if(opts.obs.spans, "search_shift1_protocols", String::new());
     let strategies = Shift1Strategy::all();
-    let mut survivor_count = 0usize;
-    let mut explorations = 0usize;
-    let mut candidates = 0usize;
-    for &s0 in &strategies {
-        for &s1 in &strategies {
-            sweep_poll(opts, explorations)?;
-            candidates += 1;
-            let mut ok = true;
-            for mask in 0..4u8 {
-                let inputs = [mask & 1 != 0, mask & 2 != 0];
-                let system = build_shift1_system(s0, s1, inputs);
-                explorations += 1;
-                let e = explore(&system, opts)?;
-                let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-                if !e.decisions_agree() || !e.decisions_within(&allowed) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                survivor_count += 1;
-            }
-        }
-    }
-    if opts.obs.metrics {
-        let reg = wfc_obs::metrics::Registry::global();
-        reg.counter("hierarchy.candidates").add(candidates as u64);
-        reg.counter("hierarchy.explorations")
-            .add(explorations as u64);
-    }
-    Ok(FamilyOutcome {
-        candidates,
-        survivor_count,
-        explorations,
-    })
+    let candidates = sweep::product([&strategies[..], &strategies[..]]);
+    sweep::run(
+        "search_shift1_protocols",
+        opts,
+        &candidates,
+        build_shift1_system,
+    )
+    .map(FamilyOutcome::from)
 }
 
 // ---------------------------------------------------------------------
@@ -319,24 +287,6 @@ fn build_shift2_three_system(strategies: [ShiftWinnerStrategy; 3], inputs: [bool
     )
 }
 
-fn shift2_triple_is_consensus(
-    strategies: [ShiftWinnerStrategy; 3],
-    opts: &ExploreOptions,
-    explorations: &mut usize,
-) -> Result<bool, ExplorerError> {
-    for mask in 0..8u8 {
-        let inputs = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
-        let system = build_shift2_three_system(strategies, inputs);
-        *explorations += 1;
-        let e = explore(&system, opts)?;
-        let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-        if !e.decisions_agree() || !e.decisions_within(&allowed) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Sweeps the third process's strategy against every pair of *natural*
 /// strategies for the first two — the lifted 2-process mechanism (P0
 /// shifts left, P1 shifts right, each reading the race off the returned
@@ -350,54 +300,37 @@ fn shift2_triple_is_consensus(
 pub fn search_shift2_three_process_reduced(
     opts: &ExploreOptions,
 ) -> Result<FamilyOutcome, ExplorerError> {
-    let _span = wfc_obs::span::enter_if(
-        opts.obs.spans,
-        "search_shift2_three_process_reduced",
-        String::new(),
-    );
-    let mut survivor_count = 0usize;
-    let mut explorations = 0usize;
-    let mut candidates = 0usize;
-    let third = ShiftWinnerStrategy::all();
-    for w0 in 0..3u8 {
-        // P0: left-shifter; "10" ⇒ P0 itself, "00" ⇒ guess w0.
-        let s0 = ShiftWinnerStrategy {
+    // P0: left-shifter; "10" ⇒ P0 itself, "00" ⇒ guess w0.
+    let first: Vec<ShiftWinnerStrategy> = (0..3u8)
+        .map(|w0| ShiftWinnerStrategy {
             shl: true,
             winner: [w0, 0],
-        };
-        for w1 in 0..3u8 {
-            // P1: right-shifter; "00" ⇒ P1 itself, "01" ⇒ guess w1.
-            let s1 = ShiftWinnerStrategy {
-                shl: false,
-                winner: [1, w1],
-            };
-            for &s2 in &third {
-                sweep_poll(opts, explorations)?;
-                candidates += 1;
-                if shift2_triple_is_consensus([s0, s1, s2], opts, &mut explorations)? {
-                    survivor_count += 1;
-                }
-            }
-        }
-    }
-    if opts.obs.metrics {
-        let reg = wfc_obs::metrics::Registry::global();
-        reg.counter("hierarchy.candidates").add(candidates as u64);
-        reg.counter("hierarchy.explorations")
-            .add(explorations as u64);
-    }
-    Ok(FamilyOutcome {
-        candidates,
-        survivor_count,
-        explorations,
-    })
+        })
+        .collect();
+    // P1: right-shifter; "00" ⇒ P1 itself, "01" ⇒ guess w1.
+    let second: Vec<ShiftWinnerStrategy> = (0..3u8)
+        .map(|w1| ShiftWinnerStrategy {
+            shl: false,
+            winner: [1, w1],
+        })
+        .collect();
+    let third = ShiftWinnerStrategy::all();
+    let candidates = sweep::product([&first[..], &second[..], &third[..]]);
+    sweep::run(
+        "search_shift2_three_process_reduced",
+        opts,
+        &candidates,
+        build_shift2_three_system,
+    )
+    .map(FamilyOutcome::from)
 }
 
 /// The full 3-process winner-table sweep: `18³ = 5832` candidate
 /// triples, every input vector, every schedule. Zero survivors:
 /// `h(shift2) < 3`, so with the model-checked 2-process protocol,
-/// `h(shift2) = 2` exactly. Expensive (minutes in debug); exercised by
-/// the `--ignored` test `no_winner_table_protocol_solves_3_consensus`.
+/// `h(shift2) = 2` exactly. Expensive (about 3.4 s in release on two
+/// cores); exercised by the `--ignored` test
+/// `no_winner_table_protocol_solves_3_consensus`.
 ///
 /// # Errors
 ///
@@ -405,37 +338,15 @@ pub fn search_shift2_three_process_reduced(
 pub fn search_shift2_three_process_full(
     opts: &ExploreOptions,
 ) -> Result<FamilyOutcome, ExplorerError> {
-    let _span = wfc_obs::span::enter_if(
-        opts.obs.spans,
-        "search_shift2_three_process_full",
-        String::new(),
-    );
     let strategies = ShiftWinnerStrategy::all();
-    let mut survivor_count = 0usize;
-    let mut explorations = 0usize;
-    let mut candidates = 0usize;
-    for &s0 in &strategies {
-        for &s1 in &strategies {
-            for &s2 in &strategies {
-                sweep_poll(opts, explorations)?;
-                candidates += 1;
-                if shift2_triple_is_consensus([s0, s1, s2], opts, &mut explorations)? {
-                    survivor_count += 1;
-                }
-            }
-        }
-    }
-    if opts.obs.metrics {
-        let reg = wfc_obs::metrics::Registry::global();
-        reg.counter("hierarchy.candidates").add(candidates as u64);
-        reg.counter("hierarchy.explorations")
-            .add(explorations as u64);
-    }
-    Ok(FamilyOutcome {
-        candidates,
-        survivor_count,
-        explorations,
-    })
+    let candidates = sweep::product([&strategies[..], &strategies[..], &strategies[..]]);
+    sweep::run(
+        "search_shift2_three_process_full",
+        opts,
+        &candidates,
+        build_shift2_three_system,
+    )
+    .map(FamilyOutcome::from)
 }
 
 // ---------------------------------------------------------------------
@@ -467,7 +378,7 @@ impl Mpr1Strategy {
     }
 }
 
-fn build_mpr1_system(s0: Mpr1Strategy, s1: Mpr1Strategy, inputs: [bool; 2]) -> System {
+fn build_mpr1_system([s0, s1]: [Mpr1Strategy; 2], inputs: [bool; 2]) -> System {
     let mpr = Arc::new(canonical::mpr(1, 2));
     let empty = mpr.state_id("⟨⟩").unwrap();
     let read = mpr.invocation_id("read").unwrap().index() as i64;
@@ -511,48 +422,21 @@ fn build_mpr1_system(s0: Mpr1Strategy, s1: Mpr1Strategy, inputs: [bool; 2]) -> S
 ///
 /// Propagates cancellation and budget exhaustion.
 pub fn search_mpr1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
-    let _span = wfc_obs::span::enter_if(opts.obs.spans, "search_mpr1_protocols", String::new());
     let strategies = Mpr1Strategy::all();
-    let mut survivor_count = 0usize;
-    let mut explorations = 0usize;
-    let mut candidates = 0usize;
-    for &s0 in &strategies {
-        for &s1 in &strategies {
-            sweep_poll(opts, explorations)?;
-            candidates += 1;
-            let mut ok = true;
-            for mask in 0..4u8 {
-                let inputs = [mask & 1 != 0, mask & 2 != 0];
-                let system = build_mpr1_system(s0, s1, inputs);
-                explorations += 1;
-                let e = explore(&system, opts)?;
-                let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-                if !e.decisions_agree() || !e.decisions_within(&allowed) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                survivor_count += 1;
-            }
-        }
-    }
-    if opts.obs.metrics {
-        let reg = wfc_obs::metrics::Registry::global();
-        reg.counter("hierarchy.candidates").add(candidates as u64);
-        reg.counter("hierarchy.explorations")
-            .add(explorations as u64);
-    }
-    Ok(FamilyOutcome {
-        candidates,
-        survivor_count,
-        explorations,
-    })
+    let candidates = sweep::product([&strategies[..], &strategies[..]]);
+    sweep::run(
+        "search_mpr1_protocols",
+        opts,
+        &candidates,
+        build_mpr1_system,
+    )
+    .map(FamilyOutcome::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfc_explorer::explore;
 
     #[test]
     fn strategy_enumerations_are_complete_and_distinct() {
@@ -596,12 +480,13 @@ mod tests {
     }
 
     /// The full winner-table sweep: `18³ = 5832` triples, zero
-    /// survivors — `h(shift2) < 3`. Run with
-    /// `cargo test --release -p wfc-hierarchy -- --ignored`.
+    /// survivors — `h(shift2) < 3`. Uses every core (`threads = 0`).
+    /// Run with `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "minutes-long exhaustive sweep; run with --ignored in release"]
+    #[ignore = "exhaustive sweep, about 3.4 s in release on two cores; run with --ignored"]
     fn no_winner_table_protocol_solves_3_consensus() {
-        let outcome = search_shift2_three_process_full(&ExploreOptions::default()).unwrap();
+        let outcome =
+            search_shift2_three_process_full(&ExploreOptions::default().with_threads(0)).unwrap();
         assert_eq!(outcome.candidates, 18 * 18 * 18);
         assert_eq!(outcome.survivor_count, 0, "{outcome:?}");
     }
@@ -635,7 +520,8 @@ mod tests {
         }
         let mut explorations = 0;
         assert!(
-            !shift2_triple_is_consensus(triple, &opts, &mut explorations).unwrap(),
+            !sweep::is_consensus(triple, build_shift2_three_system, &opts, &mut explorations)
+                .unwrap(),
             "a mixed vector must refute the decide-self triple"
         );
     }

@@ -22,27 +22,11 @@
 use std::sync::Arc;
 
 use wfc_explorer::program::{BinOp, ProgramBuilder};
-use wfc_explorer::{explore, ExploreOptions, ExplorerError, ObjectInstance, Progress, System};
+use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
 use wfc_spec::{canonical, PortId};
 
-/// The sweep-level control poll, once per candidate pair: each inner
-/// exploration is tiny, so the sweep loop is the sync point that bounds
-/// cancellation latency. Progress is reported on the `steps` axis
-/// (explorations performed so far).
-fn sweep_poll(opts: &ExploreOptions, explorations: usize) -> Result<(), ExplorerError> {
-    let progress = Progress {
-        steps: explorations as u64,
-        ..Progress::default()
-    };
-    if opts.cancel.is_cancelled() {
-        progress.record();
-        return Err(ExplorerError::Cancelled { progress });
-    }
-    if let Some(e) = opts.budget.wall_exceeded(progress) {
-        return Err(ExplorerError::Exhausted(e));
-    }
-    Ok(())
-}
+use crate::families::FamilyOutcome;
+use crate::sweep;
 
 /// One process's strategy in the one-round family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,7 +67,7 @@ pub struct SearchOutcome {
     pub explorations: usize,
 }
 
-fn build_system(s0: Strategy, s1: Strategy, inputs: [bool; 2]) -> System {
+fn build_system([s0, s1]: [Strategy; 2], inputs: [bool; 2]) -> System {
     let reg = Arc::new(canonical::boolean_register(2));
     let v0 = reg.state_id("v0").unwrap();
     // announce[p] written by p (port 0), read by 1-p (port 1).
@@ -125,26 +109,6 @@ fn build_system(s0: Strategy, s1: Strategy, inputs: [bool; 2]) -> System {
     )
 }
 
-/// Checks one strategy pair against every input vector and schedule.
-fn pair_is_consensus(
-    s0: Strategy,
-    s1: Strategy,
-    opts: &ExploreOptions,
-    explorations: &mut usize,
-) -> Result<bool, ExplorerError> {
-    for mask in 0..4u8 {
-        let inputs = [mask & 1 != 0, mask & 2 != 0];
-        let system = build_system(s0, s1, inputs);
-        *explorations += 1;
-        let e = explore(&system, opts)?;
-        let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-        if !e.decisions_agree() || !e.decisions_within(&allowed) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Exhaustively searches the one-round family for a correct register-only
 /// consensus protocol.
 ///
@@ -153,31 +117,22 @@ fn pair_is_consensus(
 /// Propagates exploration failures (none occur for this family: every
 /// candidate is trivially wait-free, being straight-line).
 pub fn search_one_round_protocols(opts: &ExploreOptions) -> Result<SearchOutcome, ExplorerError> {
-    let _span =
-        wfc_obs::span::enter_if(opts.obs.spans, "search_one_round_protocols", String::new());
     let strategies = Strategy::all();
-    let mut survivors = Vec::new();
-    let mut explorations = 0;
-    let mut candidates = 0;
-    for &s0 in &strategies {
-        for &s1 in &strategies {
-            sweep_poll(opts, explorations)?;
-            candidates += 1;
-            if pair_is_consensus(s0, s1, opts, &mut explorations)? {
-                survivors.push((s0, s1));
-            }
-        }
-    }
-    if opts.obs.metrics {
-        let reg = wfc_obs::metrics::Registry::global();
-        reg.counter("hierarchy.candidates").add(candidates as u64);
-        reg.counter("hierarchy.explorations")
-            .add(explorations as u64);
-    }
+    let candidates = sweep::product([&strategies[..], &strategies[..]]);
+    let swept = sweep::run(
+        "search_one_round_protocols",
+        opts,
+        &candidates,
+        build_system,
+    )?;
     Ok(SearchOutcome {
-        candidates,
-        survivors,
-        explorations,
+        candidates: swept.candidates,
+        survivors: swept
+            .survivors
+            .into_iter()
+            .map(|[s0, s1]| (s0, s1))
+            .collect(),
+        explorations: swept.explorations,
     })
 }
 
@@ -215,7 +170,7 @@ impl TwoReadStrategy {
     }
 }
 
-fn build_two_read_system(s0: TwoReadStrategy, s1: TwoReadStrategy, inputs: [bool; 2]) -> System {
+fn build_two_read_system([s0, s1]: [TwoReadStrategy; 2], inputs: [bool; 2]) -> System {
     let reg = Arc::new(canonical::boolean_register(2));
     let v0 = reg.state_id("v0").unwrap();
     let announce = |p: usize| {
@@ -274,23 +229,14 @@ fn build_two_read_system(s0: TwoReadStrategy, s1: TwoReadStrategy, inputs: [bool
     )
 }
 
-/// The result of the two-read exhaustive search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TwoReadOutcome {
-    /// Candidate protocols examined (`768² = 589 824`).
-    pub candidates: usize,
-    /// Candidates satisfying consensus on every schedule of every input
-    /// vector. The classical impossibility predicts zero.
-    pub survivor_count: usize,
-    /// Total exhaustive explorations performed (early termination per
-    /// candidate on the first failing vector).
-    pub explorations: usize,
-}
+/// The result of the two-read exhaustive search (`768² = 589 824`
+/// candidates; the classical impossibility predicts zero survivors).
+pub type TwoReadOutcome = FamilyOutcome;
 
 /// Exhaustively searches the two-read family (`768² = 589 824` candidate
 /// protocols) for a correct register-only consensus. The classical
-/// impossibility predicts zero survivors. Expensive (minutes in debug,
-/// tens of seconds in release); exercised by the `--ignored` test
+/// impossibility predicts zero survivors. Expensive (about 22 s in
+/// release on two cores); exercised by the `--ignored` test
 /// `no_two_read_register_protocol_solves_consensus`.
 ///
 /// # Errors
@@ -298,40 +244,20 @@ pub struct TwoReadOutcome {
 /// Propagates exploration failures.
 pub fn search_two_read_protocols(opts: &ExploreOptions) -> Result<TwoReadOutcome, ExplorerError> {
     let strategies = TwoReadStrategy::all();
-    let mut survivor_count = 0usize;
-    let mut explorations = 0usize;
-    let mut candidates = 0usize;
-    for &s0 in &strategies {
-        for &s1 in &strategies {
-            sweep_poll(opts, explorations)?;
-            candidates += 1;
-            let mut ok = true;
-            for mask in 0..4u8 {
-                let inputs = [mask & 1 != 0, mask & 2 != 0];
-                let system = build_two_read_system(s0, s1, inputs);
-                explorations += 1;
-                let e = explore(&system, opts)?;
-                let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-                if !e.decisions_agree() || !e.decisions_within(&allowed) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                survivor_count += 1;
-            }
-        }
-    }
-    Ok(TwoReadOutcome {
-        candidates,
-        survivor_count,
-        explorations,
-    })
+    let candidates = sweep::product([&strategies[..], &strategies[..]]);
+    sweep::run(
+        "search_two_read_protocols",
+        opts,
+        &candidates,
+        build_two_read_system,
+    )
+    .map(FamilyOutcome::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfc_explorer::explore;
 
     #[test]
     fn strategy_enumeration_is_complete_and_distinct() {
@@ -389,25 +315,20 @@ mod tests {
             decide,
         };
         let opts = ExploreOptions::default();
-        let mut bad = false;
-        for mask in 0..4u8 {
-            let inputs = [mask & 1 != 0, mask & 2 != 0];
-            let system = build_two_read_system(s, s, inputs);
-            let e = explore(&system, &opts).unwrap();
-            let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-            if !e.decisions_agree() || !e.decisions_within(&allowed) {
-                bad = true;
-            }
-        }
-        assert!(bad, "the plausible rule must fail on some vector");
+        assert!(
+            !sweep::is_consensus([s, s], build_two_read_system, &opts, &mut 0).unwrap(),
+            "the plausible rule must fail on some vector"
+        );
     }
 
     /// The full two-read sweep: 589 824 candidates, zero survivors.
-    /// Run with `cargo test --release -p wfc-hierarchy -- --ignored`.
+    /// Uses every core (`threads = 0`). Run with
+    /// `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "minutes-long exhaustive sweep; run with --ignored in release"]
+    #[ignore = "exhaustive sweep, about 22 s in release on two cores; run with --ignored"]
     fn no_two_read_register_protocol_solves_consensus() {
-        let outcome = search_two_read_protocols(&ExploreOptions::default()).unwrap();
+        let outcome =
+            search_two_read_protocols(&ExploreOptions::default().with_threads(0)).unwrap();
         assert_eq!(outcome.candidates, 768 * 768);
         assert_eq!(outcome.survivor_count, 0, "{outcome:?}");
     }
@@ -423,11 +344,11 @@ mod tests {
         };
         let opts = ExploreOptions::default();
         for inputs in [[false, false], [true, true]] {
-            let system = build_system(own_value, own_value, inputs);
+            let system = build_system([own_value, own_value], inputs);
             let e = explore(&system, &opts).unwrap();
             assert!(e.decisions_agree(), "equal inputs must agree");
         }
-        let system = build_system(own_value, own_value, [false, true]);
+        let system = build_system([own_value, own_value], [false, true]);
         let e = explore(&system, &opts).unwrap();
         assert!(!e.decisions_agree(), "mixed inputs expose the flaw");
     }

@@ -54,6 +54,7 @@ pub mod families;
 pub mod impossibility;
 mod level;
 pub mod robustness;
+mod sweep;
 
 pub use catalog::{catalog, identity_consensus_system, verify_entry, CatalogEntry};
 pub use level::{Evidence, Hierarchy, HierarchyValue, Level};

@@ -56,6 +56,38 @@ fn explorer_expired_wall_is_a_wall_exhausted_error() {
     }
 }
 
+/// The hierarchy sweeps poll before every candidate, on every worker:
+/// a pre-set token stops a two-worker sweep before any candidate is
+/// explored.
+#[test]
+fn sweep_cancellation_stops_before_any_candidate() {
+    static FLAG: AtomicBool = AtomicBool::new(true);
+    let opts = ExploreOptions::default()
+        .with_threads(2)
+        .with_cancel(CancelToken::new(&FLAG));
+    match hierarchy::families::search_shift2_three_process_full(&opts) {
+        Err(ExplorerError::Cancelled { progress }) => {
+            assert_eq!(progress.steps, 0, "no exploration ran");
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
+/// Same for the wall clock: a deadline already past stops a two-worker
+/// sweep with a wall `Exhausted` before any candidate is explored.
+#[test]
+fn sweep_expired_wall_stops_before_any_candidate() {
+    let mut opts = ExploreOptions::default().with_threads(2);
+    opts.budget.wall = Some(Wall::expires_in(Duration::ZERO));
+    match hierarchy::families::search_shift2_three_process_full(&opts) {
+        Err(ExplorerError::Exhausted(e)) => {
+            assert_eq!(e.resource, Resource::WallMs);
+            assert_eq!(e.progress.steps, 0, "no exploration ran");
+        }
+        other => panic!("expected a wall Exhausted error, got {other:?}"),
+    }
+}
+
 /// The sched checker polls at schedule boundaries, with the cancel check
 /// gated on having finished at least one schedule — so a pre-set token
 /// stops the DFS after **exactly one** schedule, and the progress

@@ -13,6 +13,7 @@ use consensus::{
     tas_consensus_system,
 };
 use explorer::{ExploreOptions, ObsOptions};
+use hierarchy::{families, impossibility};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
@@ -104,6 +105,35 @@ fn theorem5_certificates_are_identical_across_thread_counts() {
     }
 }
 
+/// The hierarchy sweeps fan their candidates out across the pool; the
+/// whole outcome (counts, explorations, one-round survivors in candidate
+/// order) must not depend on how many workers claimed them.
+#[test]
+fn sweep_outcomes_are_identical_across_thread_counts() {
+    type Sweep = fn(&ExploreOptions) -> String;
+    let sweeps: [(&str, Sweep); 4] = [
+        ("shift2 reduced", |o| {
+            format!("{:?}", families::search_shift2_three_process_reduced(o))
+        }),
+        ("shift1", |o| {
+            format!("{:?}", families::search_shift1_protocols(o))
+        }),
+        ("mpr1", |o| {
+            format!("{:?}", families::search_mpr1_protocols(o))
+        }),
+        ("one-round", |o| {
+            format!("{:?}", impossibility::search_one_round_protocols(o))
+        }),
+    ];
+    for (name, sweep) in sweeps {
+        let seq = sweep(&opts(1));
+        assert!(seq.starts_with("Ok("), "{name}: {seq}");
+        for t in THREADS {
+            assert_eq!(seq, sweep(&opts(t)), "{name}: sweep differs at threads={t}");
+        }
+    }
+}
+
 /// Serialises the obs-instrumented tests: they share the process-global
 /// metrics registry and span collector, which `RunReport::collect`
 /// resets.
@@ -174,6 +204,29 @@ fn instrumented_measurements_are_identical_across_thread_counts() {
     assert!(first.contains("explorer.configs"), "{first}");
     assert!(first.contains("explorer.interner.hits"), "{first}");
     assert!(first.contains("explorer.bfs.frontier"), "{first}");
+
+    // A sweep spreads its explorations over the pool's workers; the
+    // sweep and explorer counters they add up to must not move.
+    let mut sweep_counters = Vec::new();
+    for t in [1, 2, 4, 8] {
+        wfc_obs::metrics::Registry::global().reset();
+        let o = opts(t).with_obs(ObsOptions::on());
+        families::search_shift2_three_process_reduced(&o).unwrap();
+        let counters: Vec<_> = wfc_obs::metrics::Registry::global()
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("hierarchy.") || k.starts_with("explorer."))
+            .collect();
+        sweep_counters.push((t, format!("{counters:?}")));
+    }
+    let _ = wfc_obs::span::drain();
+    let (_, first) = &sweep_counters[0];
+    for (t, counters) in &sweep_counters[1..] {
+        assert_eq!(first, counters, "sweep counters differ at threads={t}");
+    }
+    assert!(first.contains("hierarchy.explorations"), "{first}");
+    assert!(first.contains("explorer.configs"), "{first}");
 }
 
 /// Budgets fire at exactly the same thresholds, with exactly the same
