@@ -81,7 +81,7 @@ pub fn analyze_valency(
     // Enumerate the decision-value universe.
     let mut universe: Vec<i64> = Vec::new();
     for v in graph.terminals() {
-        for d in graph.configs[v].decisions() {
+        for d in graph.decisions(v) {
             if !universe.contains(&d) {
                 universe.push(d);
             }
@@ -96,15 +96,15 @@ pub fn analyze_valency(
     // valency[v] as a bitmask over `universe`; fixpoint over reversed edges.
     let mut valency: Vec<u64> = vec![0; graph.len()];
     let mut parents: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-    for (v, kids) in graph.children.iter().enumerate() {
-        for &(_, c) in kids {
+    for v in 0..graph.len() {
+        for (_, c) in graph.children(v) {
             parents[c].push(v);
         }
     }
     let mut worklist: Vec<usize> = Vec::new();
     for v in graph.terminals() {
         let mut m = 0u64;
-        for d in graph.configs[v].decisions() {
+        for d in graph.decisions(v) {
             m |= mask_of(d);
         }
         valency[v] = m;
@@ -131,10 +131,8 @@ pub fn analyze_valency(
             1 => univalent += 1,
             _ => {
                 bivalent += 1;
-                let all_kids_univalent = !graph.children[v].is_empty()
-                    && graph.children[v]
-                        .iter()
-                        .all(|&(_, c)| valency[c].count_ones() == 1);
+                let all_kids_univalent = graph.children(v).len() > 0
+                    && graph.children(v).all(|(_, c)| valency[c].count_ones() == 1);
                 if all_kids_univalent {
                     critical += 1;
                 }

@@ -14,12 +14,12 @@
 //! and refutes it for blocking protocols, where a crashed process can
 //! strand the survivors.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use crate::error::ExplorerError;
 use crate::explore::ExploreOptions;
-use crate::graph::ConfigGraph;
-use crate::system::{Config, System};
+use crate::graph::{ConfigGraph, Interner};
+use crate::system::System;
 
 /// The result of the exhaustive crash-tolerance check.
 #[derive(Clone, Debug)]
@@ -66,10 +66,11 @@ pub fn check_crash_tolerance(
     // Per-configuration scenario checks are independent: fan them across
     // the configured worker pool. Reports are summed, so the merge is
     // order-insensitive; errors are taken in configuration order.
+    let nodes: Vec<usize> = (0..graph.len()).collect();
     let per_config = crate::pool::parallel_map(
         opts.effective_threads(),
-        &graph.configs,
-        |cfg| -> Result<CrashToleranceReport, ExplorerError> {
+        &nodes,
+        |&v| -> Result<CrashToleranceReport, ExplorerError> {
             let mut partial = CrashToleranceReport {
                 configs: 0,
                 scenarios: 0,
@@ -83,7 +84,8 @@ pub fn check_crash_tolerance(
             for mask in 1..(1u32 << n) {
                 let survivors: Vec<usize> = (0..n).filter(|p| mask & (1 << p) != 0).collect();
                 partial.scenarios += 1;
-                let (stuck, decision_sets) = survivor_outcomes(system, cfg, &survivors, opts)?;
+                let (stuck, decision_sets) =
+                    survivor_outcomes(system, graph.row(v), &survivors, opts)?;
                 if stuck {
                     partial.stuck_scenarios += 1;
                 }
@@ -126,23 +128,35 @@ pub fn check_crash_tolerance(
     Ok(report)
 }
 
-/// Explores survivor-only continuations from `start`. Returns whether a
-/// cycle exists (a survivor can run forever) and the set of decision
-/// multisets at survivor-terminal configurations (decisions of *all*
-/// processes that have decided, crashed ones included).
+/// Explores survivor-only continuations from the packed row `start`.
+/// Returns whether a cycle exists (a survivor can run forever) and the
+/// set of decision multisets at survivor-terminal configurations
+/// (decisions of *all* processes that have decided, crashed ones
+/// included).
+///
+/// The survivor-only subgraph is discovered depth first into an
+/// [`Interner`], recording each node's children; the cycle check then
+/// runs over those recorded edges without stepping again.
 fn survivor_outcomes(
     system: &System,
-    start: &Config,
+    start: &[i64],
     survivors: &[usize],
     opts: &ExploreOptions,
 ) -> Result<(bool, BTreeSet<Vec<i64>>), ExplorerError> {
+    let layout = system.layout();
+    let width = start.len();
     let mut outcomes = BTreeSet::new();
-    let mut seen: HashSet<Config> = HashSet::new();
-    let mut stack = vec![start.clone()];
-    seen.insert(start.clone());
-    let mut stuck = false;
+    let mut seen = Interner::new(width);
+    seen.intern(start);
+    // Node `v`'s children are `edges[spans[v].0..spans[v].1]`.
+    let mut spans: Vec<(usize, usize)> = vec![(0, 0)];
+    let mut edges: Vec<usize> = Vec::new();
+    let mut stack = vec![0usize];
+    let mut row = vec![0; width];
+    let mut kids: Vec<i64> = Vec::new();
+    let mut decisions = Vec::new();
     let mut pops = 0u64;
-    while let Some(cfg) = stack.pop() {
+    while let Some(v) = stack.pop() {
         let progress = wfc_spec::control::Progress {
             configs: seen.len() as u64,
             ..Default::default()
@@ -161,56 +175,57 @@ fn survivor_outcomes(
         if let Some(e) = opts.budget.configs_exceeded(seen.len() as u64, progress) {
             return Err(ExplorerError::Exhausted(e));
         }
-        let mut enabled = false;
+        row.copy_from_slice(seen.row(v));
+        kids.clear();
+        let mut count = 0;
         for &p in survivors {
-            for child in system.step(&cfg, p)? {
-                enabled = true;
-                if seen.insert(child.clone()) {
-                    stack.push(child);
-                }
-            }
+            count += system.step_into(&row, p, &mut kids)?;
         }
-        if !enabled {
+        let first = edges.len();
+        for k in 0..count {
+            let (id, new) = seen.intern(&kids[k * width..(k + 1) * width]);
+            if new {
+                spans.push((0, 0));
+                stack.push(id);
+            }
+            edges.push(id);
+        }
+        spans[v] = (first, edges.len());
+        if count == 0 {
             // Survivor-terminal: all survivors decided. Collect every
             // decision made so far (crashed processes may have decided
             // before crashing).
-            let decisions: Vec<i64> = cfg.procs.iter().filter_map(|p| p.decided).collect();
-            outcomes.insert(decisions);
+            layout.decisions_into(&row, &mut decisions);
+            if !outcomes.contains(&decisions) {
+                outcomes.insert(decisions.clone());
+            }
         }
     }
-    // A survivor can run forever iff some configuration repeats along a
-    // survivor-only path; with memoisation that shows up as a state we
-    // could revisit. Detect via a second pass: any config with an
-    // enabled survivor step into an already-seen config that is also an
-    // ancestor would need full cycle detection; since survivor-only
-    // subgraphs here are small, redo it with colours.
-    {
-        let mut colour: std::collections::HashMap<Config, u8> = Default::default();
-        fn dfs(
-            system: &System,
-            cfg: &Config,
-            survivors: &[usize],
-            colour: &mut std::collections::HashMap<Config, u8>,
-        ) -> Result<bool, ExplorerError> {
-            colour.insert(cfg.clone(), 1);
-            for &p in survivors {
-                for child in system.step(cfg, p)? {
-                    match colour.get(&child) {
-                        Some(1) => return Ok(true),
-                        Some(_) => {}
-                        None => {
-                            if dfs(system, &child, survivors, colour)? {
-                                return Ok(true);
-                            }
-                        }
-                    }
+    // A survivor can run forever iff a cycle is reachable from `start`
+    // in the survivor-only subgraph: colour DFS (0 white, 1 grey, 2
+    // black) over the recorded edges.
+    let mut colour = vec![0u8; seen.len()];
+    colour[0] = 1;
+    let mut dfs = vec![(0usize, spans[0].0)];
+    let mut stuck = false;
+    while let Some(&(v, next)) = dfs.last() {
+        if next < spans[v].1 {
+            dfs.last_mut().expect("non-empty").1 += 1;
+            let c = edges[next];
+            match colour[c] {
+                0 => {
+                    colour[c] = 1;
+                    dfs.push((c, spans[c].0));
                 }
+                1 => {
+                    stuck = true;
+                    break;
+                }
+                _ => {}
             }
-            colour.insert(cfg.clone(), 2);
-            Ok(false)
-        }
-        if dfs(system, start, survivors, &mut colour)? {
-            stuck = true;
+        } else {
+            colour[v] = 2;
+            dfs.pop();
         }
     }
     Ok((stuck, outcomes))

@@ -16,6 +16,7 @@
 //!   agreement and validity are checked.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use crate::error::ExplorerError;
 use crate::graph::ConfigGraph;
@@ -276,10 +277,10 @@ pub fn find_violation(
     allowed: &[i64],
     opts: &ExploreOptions,
 ) -> Result<Option<Violation>, ExplorerError> {
-    let init = system.initial_config()?;
+    let layout = system.layout();
     let mut visited = 0u64;
-    let mut stack = vec![(init, Vec::new())];
-    while let Some((cfg, schedule)) = stack.pop() {
+    let mut found = None;
+    system.walk_paths(|row, schedule| {
         let progress = Progress {
             configs: visited,
             ..Progress::default()
@@ -304,28 +305,23 @@ pub fn find_violation(
         ) {
             return Err(ExplorerError::Exhausted(e));
         }
-        if cfg.is_terminal() {
-            let decisions = cfg.decisions();
+        if layout.is_terminal(row) {
+            let mut decisions = Vec::new();
+            layout.decisions_into(row, &mut decisions);
             let disagreement = decisions.windows(2).any(|w| w[0] != w[1]);
             let invalid = decisions.iter().any(|d| !allowed.contains(d));
             if disagreement || invalid {
-                return Ok(Some(Violation {
-                    schedule,
+                found = Some(Violation {
+                    schedule: schedule.to_vec(),
                     decisions,
                     disagreement,
-                }));
-            }
-            continue;
-        }
-        for p in 0..system.processes() {
-            for child in system.step(&cfg, p)? {
-                let mut s = schedule.clone();
-                s.push(p);
-                stack.push((child, s));
+                });
+                return Ok(ControlFlow::Break(()));
             }
         }
-    }
-    Ok(None)
+        Ok(ControlFlow::Continue(()))
+    })?;
+    Ok(found)
 }
 
 /// Exhaustively explores every interleaving of `system`.
@@ -370,65 +366,78 @@ pub fn explore(system: &System, opts: &ExploreOptions) -> Result<Exploration, Ex
     }
     let total_dims = dims + objects;
 
+    // Flat per-node tables: node `v`'s access row is
+    // `access[v * total_dims..]` and its step row `steps[v * procs..]`.
+    // Terminals keep their all-zero rows.
     let procs = system.processes();
-    let mut depth: Vec<u32> = vec![0; graph.len()];
-    let mut access: Vec<Vec<u32>> = vec![Vec::new(); graph.len()];
-    let mut steps: Vec<Vec<u32>> = vec![Vec::new(); graph.len()];
+    let n = graph.len();
+    let mut depth: Vec<u32> = vec![0; n];
+    let mut access: Vec<u32> = vec![0; n * total_dims];
+    let mut steps: Vec<u32> = vec![0; n * procs];
+    let mut acc = vec![0u32; total_dims];
+    let mut st = vec![0u32; procs];
+    let mut decided = Vec::with_capacity(procs);
     let mut decisions = BTreeSet::new();
     let mut terminals = 0usize;
 
     // `post_order` is a reverse topological order on acyclic graphs, so
     // children are finalized before their parents.
     for &v in &graph.post_order {
-        let kids = &graph.children[v];
-        if kids.is_empty() {
-            debug_assert!(
-                graph.configs[v].is_terminal(),
-                "only terminals lack children"
-            );
+        let kids = graph.children(v);
+        if kids.len() == 0 {
+            debug_assert!(graph.is_terminal(v), "only terminals lack children");
             terminals += 1;
-            decisions.insert(graph.configs[v].decisions());
-            access[v] = vec![0; total_dims];
-            steps[v] = vec![0; procs];
+            graph.decisions_into(v, &mut decided);
+            if !decisions.contains(&decided) {
+                decisions.insert(decided.clone());
+            }
             continue;
         }
         let mut d = 0u32;
-        let mut acc = vec![0u32; total_dims];
-        let mut st = vec![0u32; procs];
-        let cfg = &graph.configs[v];
-        for &(p, c) in kids {
+        acc.fill(0);
+        st.fill(0);
+        let row = graph.row(v);
+        for (p, c) in kids {
             d = d.max(depth[c] + 1);
             let a = system
-                .pending_access(cfg, p)?
+                .access_in(row, p)?
                 .expect("undecided process has a pending access");
             let slot = obj_inv_offsets[a.obj] + a.inv.index();
-            let wslot = write_slot[slot];
-            for (k, cell) in acc.iter_mut().enumerate() {
-                let child_val = access[c][k] + u32::from(k == slot || Some(k) == wslot);
-                *cell = (*cell).max(child_val);
+            let child = &access[c * total_dims..(c + 1) * total_dims];
+            for (cell, &x) in acc.iter_mut().zip(child) {
+                *cell = (*cell).max(x);
             }
-            for (q, cell) in st.iter_mut().enumerate() {
-                let child_val = steps[c][q] + u32::from(q == p);
-                *cell = (*cell).max(child_val);
+            // This edge is one more `slot` access (and one more write,
+            // if `slot` is a write) than the child's executions make.
+            acc[slot] = acc[slot].max(child[slot] + 1);
+            if let Some(w) = write_slot[slot] {
+                acc[w] = acc[w].max(child[w] + 1);
             }
+            let child = &steps[c * procs..(c + 1) * procs];
+            for (cell, &x) in st.iter_mut().zip(child) {
+                *cell = (*cell).max(x);
+            }
+            st[p] = st[p].max(child[p] + 1);
         }
         depth[v] = d;
-        access[v] = acc;
-        steps[v] = st;
+        access[v * total_dims..(v + 1) * total_dims].copy_from_slice(&acc);
+        steps[v * procs..(v + 1) * procs].copy_from_slice(&st);
     }
+    let root = graph.root;
+    let root_access = &access[root * total_dims..(root + 1) * total_dims];
 
     if opts.obs.metrics {
         let reg = wfc_obs::metrics::Registry::global();
         reg.histogram("explorer.tree_depth")
-            .record(depth[graph.root] as u64);
+            .record(depth[root] as u64);
         reg.counter("explorer.terminals").add(terminals as u64);
     }
 
     if let Some(e) = opts.budget.depth_exceeded(
-        depth[graph.root] as u64,
+        depth[root] as u64,
         Progress {
             configs: graph.len() as u64,
-            depth: depth[graph.root] as u64,
+            depth: depth[root] as u64,
             ..Progress::default()
         },
     ) {
@@ -441,21 +450,17 @@ pub fn explore(system: &System, opts: &ExploreOptions) -> Result<Exploration, Ex
         .enumerate()
         .map(|(oi, o)| {
             let base = obj_inv_offsets[oi];
-            (0..o.ty().invocation_count())
-                .map(|i| access[graph.root][base + i])
-                .collect()
+            root_access[base..base + o.ty().invocation_count()].to_vec()
         })
         .collect();
-    let write_totals = (0..objects)
-        .map(|oi| access[graph.root][dims + oi])
-        .collect();
+    let write_totals = root_access[dims..].to_vec();
 
     Ok(Exploration {
         configs: graph.len(),
         edges: graph.edges,
         terminals,
-        depth: depth[graph.root] as usize,
-        per_process_steps: steps[graph.root].clone(),
+        depth: depth[root] as usize,
+        per_process_steps: steps[root * procs..(root + 1) * procs].to_vec(),
         decisions,
         access: AccessTable {
             counts: per_object,

@@ -7,21 +7,31 @@
 //! Depth, access bounds, decision sets and valency are all computed over
 //! this graph.
 //!
+//! Every configuration is one packed `i64` row (see
+//! [`Config`]). The graph keeps its rows back to back in
+//! one slab, interns them through an open-addressed table of `u32` node
+//! ids keyed by a word hash, and stores its edges in compressed sparse
+//! row (CSR) form: one offsets array and one flat `(process, child)`
+//! array. Discovery allocates nothing per configuration.
+//!
 //! Discovery is a level-synchronised breadth-first search; with
 //! [`ExploreOptions::threads`] > 1 each frontier is sharded across a
 //! scoped thread pool of which the coordinator is one worker (a level
 //! at `n` threads spawns `n - 1`). Workers only *expand*
-//! configurations — all interning happens on the coordinator, in
-//! frontier order, after the level joins. Node numbering is therefore
-//! identical at every thread count (not merely the node *set*), and the
-//! configs budget is exact: the build aborts the moment the
-//! `budget.configs + 1`-st distinct configuration appears, with no
-//! end-of-level overshoot. Cycle detection and the post-order are
-//! computed afterwards by a cheap sequential pass over the already-built
-//! adjacency, which touches no program state.
+//! configurations, appending child rows and their hashes to a flat
+//! buffer each worker keeps across levels. All interning happens on the
+//! coordinator, in frontier order, after the level joins. Node
+//! numbering is therefore identical at every thread count (not merely
+//! the node *set*), and the configs budget is exact: the build aborts
+//! the moment the `budget.configs + 1`-st distinct configuration
+//! appears, with no end-of-level overshoot. Because nodes are numbered
+//! in discovery order, each level's frontier is a contiguous id range
+//! and the CSR offsets are appended in node order as the frontier is
+//! interned. Cycle detection and the post-order are computed afterwards
+//! by a cheap sequential pass over the finished edges, which touches no
+//! program state.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,15 +41,18 @@ use wfc_spec::control::Progress;
 
 use crate::error::ExplorerError;
 use crate::explore::ExploreOptions;
-use crate::system::{Config, System};
+use crate::system::{Config, Layout, System};
 
 /// The reachable configuration graph of a [`System`].
 #[derive(Clone, Debug)]
 pub struct ConfigGraph {
-    /// All distinct configurations, indexed by node id.
-    pub configs: Vec<Config>,
-    /// `children[v]` lists `(process, child)` edges out of `v`.
-    pub children: Vec<Vec<(usize, usize)>>,
+    layout: Layout,
+    /// Every node's packed row, back to back, in node order.
+    rows: Vec<i64>,
+    /// CSR offsets: node `v`'s edges are `kids[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    /// `(process, child)` edges, grouped by source node.
+    kids: Vec<(u32, u32)>,
     /// The initial configuration's node id.
     pub root: usize,
     /// Total number of edges.
@@ -56,20 +69,123 @@ pub struct ConfigGraph {
 /// `threads > 1`: per-level thread spawns would dominate the work.
 const PARALLEL_FRONTIER_MIN: usize = 64;
 
-/// What one worker contributes to a frontier level: for each claimed
-/// frontier position, the raw `(process, child configuration)` pairs it
-/// expands to, plus the minimal error encountered (keyed so the choice
-/// is independent of scheduling). Nothing is interned here — the
-/// coordinator does that in frontier order.
-struct LevelPart {
-    children: Vec<(usize, Vec<(usize, Config)>)>,
-    error: Option<(String, usize, ExplorerError)>,
+/// A std-only word hash for packed rows: a multiply-rotate fold over the
+/// words (the `FxHash` recipe) with a final mix, so the high bits the
+/// index table uses depend on every word. Like the unkeyed
+/// `DefaultHasher` map it replaced, it is deterministic, not hardened
+/// against rows crafted to collide.
+pub(crate) fn row_hash(row: &[i64]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = row.len() as u64;
+    for &w in row {
+        h = (h.rotate_left(5) ^ w as u64).wrapping_mul(K);
+    }
+    (h ^ (h >> 29)).wrapping_mul(K)
 }
 
-fn merge_error(
-    slot: &mut Option<(String, usize, ExplorerError)>,
-    candidate: (String, usize, ExplorerError),
-) {
+/// An empty slot of the index table.
+const EMPTY: u32 = u32::MAX;
+
+/// A slab of distinct packed rows with an open-addressed index: node
+/// `id`'s row is `rows[id * width..(id + 1) * width]`, and `table` maps
+/// a row's hash to its id by linear probing. Lookups borrow the probe
+/// row, so nothing is cloned to look it up.
+#[derive(Clone, Debug)]
+pub(crate) struct Interner {
+    width: usize,
+    rows: Vec<i64>,
+    hashes: Vec<u64>,
+    /// Node ids or [`EMPTY`]; a power of two long, at most half full.
+    table: Vec<u32>,
+}
+
+impl Interner {
+    pub(crate) fn new(width: usize) -> Interner {
+        Interner {
+            width,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![EMPTY; 64],
+        }
+    }
+
+    /// Number of distinct rows.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The row of node `id`.
+    pub(crate) fn row(&self, id: usize) -> &[i64] {
+        &self.rows[id * self.width..(id + 1) * self.width]
+    }
+
+    fn home(&self, hash: u64) -> usize {
+        // The table length is a power of two: take the hash's high bits.
+        (hash >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// The id of `row` (whose hash is `hash`), if it has been interned.
+    pub(crate) fn find(&self, hash: u64, row: &[i64]) -> Option<usize> {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let id = self.table[i];
+            if id == EMPTY {
+                return None;
+            }
+            let id = id as usize;
+            if self.hashes[id] == hash && self.row(id) == row {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Appends `row`, which must not be interned yet, and returns its id.
+    pub(crate) fn insert(&mut self, hash: u64, row: &[i64]) -> usize {
+        let id = self.len();
+        assert!(id < EMPTY as usize, "more than 2^32 - 1 configurations");
+        if 2 * (id + 1) > self.table.len() {
+            self.grow();
+        }
+        self.rows.extend_from_slice(row);
+        self.hashes.push(hash);
+        self.place(id);
+        id
+    }
+
+    /// The id of `row`, interning it first if it is new; the flag says
+    /// whether it was.
+    pub(crate) fn intern(&mut self, row: &[i64]) -> (usize, bool) {
+        let hash = row_hash(row);
+        match self.find(hash, row) {
+            Some(id) => (id, false),
+            None => (self.insert(hash, row), true),
+        }
+    }
+
+    fn place(&mut self, id: usize) {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(self.hashes[id]);
+        while self.table[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.table[i] = id as u32;
+    }
+
+    fn grow(&mut self) {
+        self.table = vec![EMPTY; 2 * self.table.len()];
+        for id in 0..self.len() {
+            self.place(id);
+        }
+    }
+}
+
+/// The level's error, keyed by `(Debug string, process)` so the choice
+/// does not depend on which worker found which error first.
+type LevelError = (String, usize, ExplorerError);
+
+fn merge_error(slot: &mut Option<LevelError>, candidate: LevelError) {
     let replace = match slot {
         None => true,
         Some((key, p, _)) => (candidate.0.as_str(), candidate.1) < (key.as_str(), *p),
@@ -79,34 +195,64 @@ fn merge_error(
     }
 }
 
-/// Expands the slice of `frontier` this worker claims via `next`. Pure
-/// expansion: the result depends only on which positions were claimed,
-/// never on scheduling, so any partition of a level across workers
-/// yields the same merged level.
-fn expand_worker(
-    system: &System,
-    configs: &[Config],
-    frontier: &[usize],
-    next: &AtomicUsize,
-) -> LevelPart {
-    let mut part = LevelPart {
-        children: Vec::new(),
-        error: None,
-    };
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= frontier.len() {
-            return part;
-        }
-        let cfg = &configs[frontier[i]];
-        let mut kids = Vec::new();
-        for p in 0..system.processes() {
-            match system.step(cfg, p) {
-                Ok(steps) => kids.extend(steps.into_iter().map(|child| (p, child))),
-                Err(e) => merge_error(&mut part.error, (format!("{e:?}"), p, e)),
+/// One worker's share of a frontier level, kept across levels so its
+/// buffers are reused: the child rows it expanded, back to back, plus
+/// each child's process and hash, and which frontier positions it
+/// claimed. Nothing is interned here — the coordinator does that in
+/// frontier order.
+#[derive(Default)]
+struct Expansion {
+    /// Child rows, back to back: child `k` is `rows[k * width..]`.
+    rows: Vec<i64>,
+    /// `(process, row hash)` of each child.
+    kids: Vec<(u32, u64)>,
+    /// `(frontier position, first child, child count)` per claimed
+    /// position, in claim order (ascending).
+    claimed: Vec<(usize, usize, usize)>,
+    error: Option<LevelError>,
+}
+
+impl Expansion {
+    /// Expands the positions of `frontier` this worker claims via `next`.
+    /// Pure expansion: the result depends only on which positions were
+    /// claimed, never on scheduling, so any partition of a level across
+    /// workers yields the same merged level.
+    fn expand(
+        &mut self,
+        system: &System,
+        nodes: &Interner,
+        frontier: Range<usize>,
+        next: &AtomicUsize,
+    ) {
+        self.rows.clear();
+        self.kids.clear();
+        self.claimed.clear();
+        self.error = None;
+        let width = nodes.width;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= frontier.len() {
+                return;
             }
+            let row = nodes.row(frontier.start + i);
+            let first = self.kids.len();
+            for p in 0..system.processes() {
+                match system.step_into(row, p, &mut self.rows) {
+                    Ok(n) => {
+                        for _ in 0..n {
+                            let hash = row_hash(self.row(self.kids.len(), width));
+                            self.kids.push((p as u32, hash));
+                        }
+                    }
+                    Err(e) => merge_error(&mut self.error, (format!("{e:?}"), p, e)),
+                }
+            }
+            self.claimed.push((i, first, self.kids.len() - first));
         }
-        part.children.push((i, kids));
+    }
+
+    fn row(&self, k: usize, width: usize) -> &[i64] {
+        &self.rows[k * width..(k + 1) * width]
     }
 }
 
@@ -155,26 +301,28 @@ impl ConfigGraph {
     /// level-sync point.
     pub fn build(system: &System, opts: &ExploreOptions) -> Result<ConfigGraph, ExplorerError> {
         let init = system.initial_config()?;
-        let threads = opts.effective_threads();
+        let layout = system.layout();
+        let width = layout.width();
+        let threads = opts.effective_threads().max(1);
         let metrics = opts.obs.metrics.then(BuildMetrics::new);
 
-        let mut map: HashMap<Config, usize, BuildHasherDefault<DefaultHasher>> = HashMap::default();
-        let mut configs: Vec<Config> = Vec::new();
-        let root = 0usize;
-        map.insert(init.clone(), root);
-        configs.push(init);
+        let mut nodes = Interner::new(width);
+        let root = nodes.insert(row_hash(init.row()), init.row());
         if let Some(m) = &metrics {
             m.misses.add(1); // the root's intern
         }
 
-        let mut frontier: Vec<usize> = vec![root];
-        let mut adjacency: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        let mut edges = 0usize;
+        let mut offsets: Vec<usize> = vec![0];
+        let mut kids: Vec<(u32, u32)> = Vec::new();
+        let mut workers: Vec<Expansion> = Vec::new();
+        // `slots[i]` is the (worker, claim) that expanded frontier position i.
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        let mut frontier = root..nodes.len();
         let mut level = 0usize;
 
         while !frontier.is_empty() {
             let progress = Progress {
-                configs: configs.len() as u64,
+                configs: nodes.len() as u64,
                 depth: level as u64,
                 ..Progress::default()
             };
@@ -201,51 +349,66 @@ impl ConfigGraph {
             } else {
                 threads
             };
-            let expand = || expand_worker(system, &configs, &frontier, &next);
-            let parts: Vec<LevelPart> = if level_workers <= 1 {
-                vec![expand()]
+            if workers.len() < level_workers {
+                workers.resize_with(level_workers, Expansion::default);
+            }
+            let (first, helpers) = workers[..level_workers]
+                .split_first_mut()
+                .expect("at least one worker");
+            let nodes_ref = &nodes;
+            if helpers.is_empty() {
+                first.expand(system, nodes_ref, frontier.clone(), &next);
             } else {
                 std::thread::scope(|s| {
-                    let helpers: Vec<_> = (1..level_workers).map(|_| s.spawn(expand)).collect();
-                    let mut parts = vec![expand()];
-                    parts.extend(
-                        helpers
-                            .into_iter()
-                            .map(|w| w.join().expect("worker panicked")),
-                    );
-                    parts
-                })
-            };
+                    let handles: Vec<_> = helpers
+                        .iter_mut()
+                        .map(|w| {
+                            let (frontier, next) = (frontier.clone(), &next);
+                            s.spawn(move || w.expand(system, nodes_ref, frontier, next))
+                        })
+                        .collect();
+                    first.expand(system, nodes_ref, frontier.clone(), &next);
+                    // Join explicitly so each thread has exited, and
+                    // released its malloc arena, before the next level.
+                    for h in handles {
+                        h.join().expect("worker panicked");
+                    }
+                });
+            }
+            let parts = &mut workers[..level_workers];
 
-            // Reassemble the level in frontier order: slot the expansions
-            // by frontier position, surface the (deterministically
-            // merged) error first, then intern on this thread.
-            let mut error: Option<(String, usize, ExplorerError)> = None;
-            let mut slots: Vec<Option<Vec<(usize, Config)>>> =
-                (0..frontier.len()).map(|_| None).collect();
-            for part in parts {
-                for (i, kids) in part.children {
-                    slots[i] = Some(kids);
-                }
-                if let Some(e) = part.error {
+            // Surface the (deterministically merged) error first, then
+            // intern on this thread in frontier order.
+            let mut error: Option<LevelError> = None;
+            for part in parts.iter_mut() {
+                if let Some(e) = part.error.take() {
                     merge_error(&mut error, e);
                 }
             }
             if let Some((_, _, e)) = error {
                 return Err(e);
             }
+            slots.clear();
+            slots.resize(frontier.len(), (usize::MAX, 0));
+            for (w, part) in parts.iter().enumerate() {
+                for (c, &(i, _, _)) in part.claimed.iter().enumerate() {
+                    slots[i] = (w, c);
+                }
+            }
 
-            let mut next_frontier = Vec::new();
+            let mut discovered = 0usize;
             let mut level_edges = 0usize;
-            for (i, slot) in slots.into_iter().enumerate() {
-                let kids = slot.expect("every frontier position was expanded");
-                let mut kid_ids = Vec::with_capacity(kids.len());
-                for (p, child) in kids {
+            for &(w, c) in &slots {
+                let part = &parts[w];
+                let (_, first_kid, count) = part.claimed[c];
+                for k in first_kid..first_kid + count {
+                    let (p, hash) = part.kids[k];
+                    let row = part.row(k, width);
                     level_edges += 1;
-                    let id = match map.get(&child) {
-                        Some(&id) => id,
+                    let id = match nodes.find(hash, row) {
+                        Some(id) => id,
                         None => {
-                            let used = configs.len() as u64 + 1;
+                            let used = nodes.len() as u64 + 1;
                             if let Some(e) = opts.budget.configs_exceeded(
                                 used,
                                 Progress {
@@ -256,94 +419,124 @@ impl ConfigGraph {
                             ) {
                                 return Err(ExplorerError::Exhausted(e));
                             }
-                            let id = configs.len();
-                            map.insert(child.clone(), id);
-                            configs.push(child);
-                            next_frontier.push(id);
-                            id
+                            discovered += 1;
+                            nodes.insert(hash, row)
                         }
                     };
-                    kid_ids.push((p, id));
+                    kids.push((p, id as u32));
                 }
-                adjacency.push((frontier[i], kid_ids));
+                offsets.push(kids.len());
             }
-            edges += level_edges;
             if let Some(m) = &metrics {
                 // Every edge is one intern lookup; the lookups that did
                 // not discover a new node were hits.
                 m.frontier.record(frontier.len() as u64);
-                m.misses.add(next_frontier.len() as u64);
-                m.hits.add((level_edges - next_frontier.len()) as u64);
+                m.misses.add(discovered as u64);
+                m.hits.add((level_edges - discovered) as u64);
                 m.max_level.record_max(level as i64);
                 if let Some(t0) = level_start {
                     m.level_ns.record(t0.elapsed().as_nanos() as u64);
                 }
             }
-            frontier = next_frontier;
+            frontier = frontier.end..nodes.len();
             level += 1;
         }
 
+        let len = nodes.len();
+        let edges = kids.len();
         if opts.obs.metrics {
             let reg = Registry::global();
-            reg.counter("explorer.configs").add(configs.len() as u64);
+            reg.counter("explorer.configs").add(len as u64);
             reg.counter("explorer.edges").add(edges as u64);
         }
 
-        let mut children: Vec<Vec<(usize, usize)>> = vec![Vec::new(); configs.len()];
-        for (v, kids) in adjacency {
-            children[v] = kids;
-        }
+        let mut graph = ConfigGraph {
+            layout,
+            rows: nodes.rows,
+            offsets,
+            kids,
+            root,
+            edges,
+            has_cycle: false,
+            post_order: Vec::with_capacity(len),
+        };
 
         // Cycle detection + post-order: sequential iterative DFS with
-        // colours (0 white, 1 grey, 2 black) over the finished adjacency.
-        let mut colour: Vec<u8> = vec![0; configs.len()];
-        let mut post_order: Vec<usize> = Vec::with_capacity(configs.len());
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        // colours (0 white, 1 grey, 2 black) over the finished edges.
+        let mut colour: Vec<u8> = vec![0; len];
+        let mut stack: Vec<(usize, usize)> = vec![(root, graph.offsets[root])];
         colour[root] = 1;
-        let mut has_cycle = false;
-        while let Some(&(v, next_child)) = stack.last() {
-            let kids = &children[v];
-            if next_child < kids.len() {
-                let (_, c) = kids[next_child];
+        while let Some(&(v, next_edge)) = stack.last() {
+            if next_edge < graph.offsets[v + 1] {
+                let c = graph.kids[next_edge].1 as usize;
                 stack.last_mut().expect("non-empty").1 += 1;
                 match colour[c] {
                     0 => {
                         colour[c] = 1;
-                        stack.push((c, 0));
+                        stack.push((c, graph.offsets[c]));
                     }
-                    1 => has_cycle = true,
+                    1 => graph.has_cycle = true,
                     _ => {}
                 }
             } else {
                 colour[v] = 2;
-                post_order.push(v);
+                graph.post_order.push(v);
                 stack.pop();
             }
         }
-
-        Ok(ConfigGraph {
-            configs,
-            children,
-            root,
-            edges,
-            has_cycle,
-            post_order,
-        })
+        Ok(graph)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.offsets.len() - 1
     }
 
     /// `true` if the graph has no nodes (never: the root always exists).
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.len() == 0
+    }
+
+    /// Node `v`'s packed row.
+    pub(crate) fn row(&self, v: usize) -> &[i64] {
+        let width = self.layout.width();
+        &self.rows[v * width..(v + 1) * width]
+    }
+
+    /// Node `v`'s configuration, as an owned copy.
+    pub fn config(&self, v: usize) -> Config {
+        Config::new(self.row(v), self.layout)
+    }
+
+    /// The `(process, child)` edges out of node `v`, in step order.
+    pub fn children(&self, v: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        self.kids[self.offsets[v]..self.offsets[v + 1]]
+            .iter()
+            .map(|&(p, c)| (p as usize, c as usize))
+    }
+
+    /// `true` if every process has decided at node `v`.
+    pub fn is_terminal(&self, v: usize) -> bool {
+        self.layout.is_terminal(self.row(v))
+    }
+
+    /// The decisions made at node `v`, in process order; processes that
+    /// have not decided are skipped, so at a terminal this is the
+    /// decision vector.
+    pub fn decisions(&self, v: usize) -> Vec<i64> {
+        let mut out = Vec::new();
+        self.decisions_into(v, &mut out);
+        out
+    }
+
+    /// [`ConfigGraph::decisions`] into a caller-owned buffer.
+    pub(crate) fn decisions_into(&self, v: usize, out: &mut Vec<i64>) {
+        self.layout.decisions_into(self.row(v), out);
     }
 
     /// Node ids of terminal configurations (all processes decided).
     pub fn terminals(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(|&v| self.configs[v].is_terminal())
+        (0..self.len()).filter(|&v| self.is_terminal(v))
     }
 }
 
@@ -357,18 +550,7 @@ mod tests {
 
     #[test]
     fn graph_of_two_step_race_is_a_diamond_plus_tails() {
-        let tas = Arc::new(canonical::test_and_set(2));
-        let init = tas.state_id("unset").unwrap();
-        let tas_inv = tas.invocation_id("test_and_set").unwrap();
-        let obj = ObjectInstance::identity_ports(tas, init, 2);
-        let mk = || {
-            let mut b = ProgramBuilder::new();
-            let r = b.var("r");
-            b.invoke(0_i64, Operand::Const(tas_inv.index() as i64), Some(r));
-            b.ret(r);
-            b.build().unwrap()
-        };
-        let sys = System::new(vec![obj], vec![mk(), mk()]);
+        let sys = tas_race();
         let g = ConfigGraph::build(&sys, &ExploreOptions::default()).unwrap();
         assert!(!g.has_cycle);
         // root, two intermediate, two terminals (decisions differ by winner).
@@ -401,8 +583,8 @@ mod tests {
         assert_eq!(g.terminals().count(), 0);
     }
 
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
+    /// The two-process test-and-set race: every level is tiny.
+    fn tas_race() -> System {
         let tas = Arc::new(canonical::test_and_set(2));
         let init = tas.state_id("unset").unwrap();
         let tas_inv = tas.invocation_id("test_and_set").unwrap();
@@ -414,14 +596,76 @@ mod tests {
             b.ret(r);
             b.build().unwrap()
         };
-        let sys = System::new(vec![obj], vec![mk(), mk()]);
-        let seq = ConfigGraph::build(&sys, &ExploreOptions::default()).unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                ConfigGraph::build(&sys, &ExploreOptions::default().with_threads(threads)).unwrap();
-            // Coordinator-side interning makes even the node *numbering*
-            // thread-invariant, so whole graphs compare equal.
-            assert_eq!(format!("{par:?}"), format!("{seq:?}"));
+        System::new(vec![obj], vec![mk(), mk()])
+    }
+
+    /// Four processes on one shared register, each writing its parity
+    /// and then reading twice: the middle levels hold well over
+    /// [`PARALLEL_FRONTIER_MIN`] configurations.
+    fn wide_register_system() -> System {
+        let reg = Arc::new(canonical::boolean_register(4));
+        let init = reg.state_id("v0").unwrap();
+        let read = reg.invocation_id("read").unwrap().index() as i64;
+        let obj = ObjectInstance::identity_ports(Arc::clone(&reg), init, 4);
+        let programs = (0..4)
+            .map(|p| {
+                let write = if p % 2 == 0 { "write0" } else { "write1" };
+                let write = reg.invocation_id(write).unwrap().index() as i64;
+                let mut b = ProgramBuilder::new();
+                let r = b.var("r");
+                let s = b.var("s");
+                b.invoke(0_i64, write, None);
+                b.invoke(0_i64, read, Some(r));
+                b.invoke(0_i64, read, Some(s));
+                b.compute(r, r, crate::program::BinOp::Add, s);
+                b.ret(r);
+                b.build().unwrap()
+            })
+            .collect();
+        System::new(vec![obj], programs)
+    }
+
+    /// The widest breadth-first level of `g`: the largest frontier the
+    /// build expanded.
+    fn widest_level(g: &ConfigGraph) -> usize {
+        let mut level = vec![usize::MAX; g.len()];
+        let mut width = vec![1usize];
+        level[g.root] = 0;
+        let mut queue = std::collections::VecDeque::from([g.root]);
+        while let Some(v) = queue.pop_front() {
+            for (_, c) in g.children(v) {
+                if level[c] == usize::MAX {
+                    level[c] = level[v] + 1;
+                    if width.len() <= level[c] {
+                        width.push(0);
+                    }
+                    width[level[c]] += 1;
+                    queue.push_back(c);
+                }
+            }
+        }
+        width.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn parallel_build_is_bit_identical_to_sequential() {
+        let wide = wide_register_system();
+        let seq = ConfigGraph::build(&wide, &ExploreOptions::default()).unwrap();
+        assert!(
+            widest_level(&seq) > PARALLEL_FRONTIER_MIN,
+            "the wide system must reach the multi-worker level path: {}",
+            widest_level(&seq)
+        );
+        for sys in [tas_race(), wide] {
+            let seq = ConfigGraph::build(&sys, &ExploreOptions::default()).unwrap();
+            for threads in [2, 4, 8] {
+                let opts = ExploreOptions::default().with_threads(threads);
+                let par = ConfigGraph::build(&sys, &opts).unwrap();
+                // Coordinator-side interning makes even the node
+                // *numbering* thread-invariant, so whole graphs compare
+                // equal.
+                assert_eq!(format!("{par:?}"), format!("{seq:?}"));
+            }
         }
     }
 }

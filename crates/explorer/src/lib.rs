@@ -17,7 +17,8 @@
 //! * [`graph`] — the underlying configuration graph.
 //!
 //! Programs are a small register-machine bytecode (module [`program`]) so
-//! that configurations are hashable and — crucially for Theorem 5 — so
+//! that a configuration packs into one flat `i64` row the explorer can
+//! hash and compare as plain words, and — crucially for Theorem 5 — so
 //! that `wfc-core`'s register-elimination compiler can rewrite them.
 //!
 //! ## Example: race two processes on a test-and-set

@@ -9,11 +9,12 @@
 //! verifies that each resulting history linearizes.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use wfc_spec::{FiniteType, InvId, PortId, RespId, StateId};
 
 use crate::error::ExplorerError;
-use crate::system::{Config, System};
+use crate::system::System;
 
 /// One completed high-level operation in a concurrent history.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -164,10 +165,9 @@ pub fn collect_histories(
         "one label per process required"
     );
     let mut out = Vec::new();
-    let init = system.initial_config()?;
-    let mut stack: Vec<(Config, Vec<usize>)> = vec![(init, Vec::new())];
-    while let Some((cfg, schedule)) = stack.pop() {
-        if cfg.is_terminal() {
+    let layout = system.layout();
+    system.walk_paths(|row, schedule| {
+        if layout.is_terminal(row) {
             let used = out.len() as u64 + 1;
             let budget = wfc_spec::control::Budget::default().with_configs(max_paths as u64);
             if let Some(e) = budget.configs_exceeded(
@@ -179,18 +179,11 @@ pub fn collect_histories(
             ) {
                 return Err(ExplorerError::Exhausted(e));
             }
-            let history = history_of(system, &cfg, &schedule, labels);
-            out.push((schedule, history));
-            continue;
+            let history = history_of(system, row, schedule, labels);
+            out.push((schedule.to_vec(), history));
         }
-        for p in 0..system.processes() {
-            for child in system.step(&cfg, p)? {
-                let mut s = schedule.clone();
-                s.push(p);
-                stack.push((child, s));
-            }
-        }
-    }
+        Ok(ControlFlow::Continue(()))
+    })?;
     Ok(out)
 }
 
@@ -236,7 +229,7 @@ pub fn check_one_shot_implementation(
 /// Builds the high-level concurrent history induced by `schedule`.
 fn history_of(
     system: &System,
-    terminal: &Config,
+    terminal: &[i64],
     schedule: &[usize],
     labels: &[OpLabel],
 ) -> ConcurrentHistory {
@@ -250,8 +243,13 @@ fn history_of(
             _ => (-1, -1),
         };
         let resp = RespId::new(
-            usize::try_from(terminal.procs[p].decided.expect("terminal config"))
-                .expect("decision is a response index"),
+            usize::try_from(
+                system
+                    .layout()
+                    .decided(terminal, p)
+                    .expect("terminal config"),
+            )
+            .expect("decision is a response index"),
         );
         ops.push(OpRecord {
             port: label.port,

@@ -4,10 +4,12 @@
 //! \[shared\] objects". We represent programs in a small register-machine
 //! bytecode rather than as Rust closures for two reasons:
 //!
-//! 1. **Explorability.** Local states (program counter + variables) are
-//!    plain data, so system configurations can be hashed and memoised by
-//!    the exhaustive explorer — the paper's execution-tree model
-//!    (Section 4.2) requires enumerating *all* interleavings.
+//! 1. **Explorability.** A local state (program counter, decision,
+//!    variables) is a flat run of `i64` words, so a whole system
+//!    configuration packs into one row that the exhaustive explorer
+//!    hashes, compares and memoises as plain words — the paper's
+//!    execution-tree model (Section 4.2) requires enumerating *all*
+//!    interleavings.
 //! 2. **Transformability.** The register-elimination compiler of Theorem 5
 //!    (implemented in `wfc-core`) rewrites programs: it replaces register
 //!    accesses with the one-use-bit subroutines of Sections 4.3 and 5.
@@ -229,83 +231,81 @@ impl Program {
     }
 }
 
-/// The run state of one process: its program counter and variables.
-///
-/// After [`local_run`], `pc` either addresses an [`Instr::Invoke`] or the
-/// process has decided (`decided.is_some()`).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ProcState {
-    /// Next instruction index.
-    pub pc: usize,
-    /// Variable values.
-    pub vars: Vec<i64>,
-    /// Decision value once the process has returned.
-    pub decided: Option<i64>,
-}
-
-impl ProcState {
-    /// The initial state of `program` *before* the local prefix has run.
-    pub fn initial(program: &Program) -> ProcState {
-        ProcState {
-            pc: 0,
-            vars: program.init_vars().to_vec(),
-            decided: None,
-        }
-    }
-
-    /// Evaluates an operand against this state's variables.
-    pub fn eval(&self, op: Operand) -> i64 {
-        match op {
+impl Operand {
+    /// Evaluates the operand against a process's variables.
+    pub fn eval(self, vars: &[i64]) -> i64 {
+        match self {
             Operand::Const(c) => c,
-            Operand::Var(v) => self.vars[v.0],
+            Operand::Var(v) => vars[v.0],
         }
     }
 }
+
+/// Index of the program counter in a process's local state.
+pub const PC: usize = 0;
+/// Index of the decided flag (0 or 1) in a process's local state.
+pub const DECIDED: usize = 1;
+/// Index of the decision value (0 until decided) in a process's local
+/// state.
+pub const DECISION: usize = 2;
+/// Index of the first variable in a process's local state.
+pub const VARS: usize = 3;
 
 /// Maximum number of purely-local instructions executed per scheduler step
 /// before the run is declared divergent. Wait-freedom also covers local
 /// loops; this fuel bound turns them into errors instead of hangs.
 pub const LOCAL_FUEL: usize = 100_000;
 
-/// Advances `state` through local instructions until it reaches an
-/// [`Instr::Invoke`] (leaving `pc` addressing it) or returns (setting
-/// `decided`).
+/// Advances the local state `local` through local instructions until it
+/// reaches an [`Instr::Invoke`] (leaving the program counter addressing
+/// it) or returns (setting the decided flag and the decision).
+///
+/// A local state is a flat slice `[pc, decided, decision, vars…]`
+/// (indices [`PC`], [`DECIDED`], [`DECISION`], [`VARS`]), exactly as
+/// long as the program's variables: the block each process occupies
+/// inside a packed configuration row. A process that has not run yet
+/// is all zeros apart from its initial variables.
 ///
 /// # Errors
 ///
 /// Returns a [`ProgramError`] on out-of-range jumps, running off the end of
 /// the program, division by zero, or exceeding [`LOCAL_FUEL`].
-pub fn local_run(program: &Program, state: &mut ProcState) -> Result<(), ProgramError> {
-    if state.decided.is_some() {
+pub fn local_run(program: &Program, local: &mut [i64]) -> Result<(), ProgramError> {
+    let (head, vars) = local.split_at_mut(VARS);
+    if head[DECIDED] != 0 {
         return Ok(());
     }
+    let mut pc = head[PC] as usize;
     for _ in 0..LOCAL_FUEL {
         let instr = *program
             .code
-            .get(state.pc)
-            .ok_or(ProgramError::PcOutOfRange { pc: state.pc })?;
+            .get(pc)
+            .ok_or(ProgramError::PcOutOfRange { pc })?;
         match instr {
             Instr::Compute { dst, lhs, op, rhs } => {
-                let a = state.eval(lhs);
-                let b = state.eval(rhs);
-                state.vars[dst.0] = op.apply(a, b)?;
-                state.pc += 1;
+                vars[dst.0] = op.apply(lhs.eval(vars), rhs.eval(vars))?;
+                pc += 1;
             }
             Instr::Copy { dst, src } => {
-                state.vars[dst.0] = state.eval(src);
-                state.pc += 1;
+                vars[dst.0] = src.eval(vars);
+                pc += 1;
             }
-            Instr::Invoke { .. } => return Ok(()),
+            Instr::Invoke { .. } => {
+                head[PC] = pc as i64;
+                return Ok(());
+            }
             Instr::JumpIfZero { cond, target } => {
-                if state.eval(cond) == 0 {
-                    state.pc = target;
+                if cond.eval(vars) == 0 {
+                    pc = target;
                 } else {
-                    state.pc += 1;
+                    pc += 1;
                 }
             }
-            Instr::Jump { target } => state.pc = target,
+            Instr::Jump { target } => pc = target,
             Instr::Return { value } => {
-                state.decided = Some(state.eval(value));
+                head[PC] = pc as i64;
+                head[DECIDED] = 1;
+                head[DECISION] = value.eval(vars);
                 return Ok(());
             }
         }
@@ -465,6 +465,20 @@ impl ProgramBuilder {
 mod tests {
     use super::*;
 
+    /// `p`'s local state before it has run.
+    fn initial_local(p: &Program) -> Vec<i64> {
+        let mut local = vec![0; VARS];
+        local.extend_from_slice(p.init_vars());
+        local
+    }
+
+    /// Runs `p` from its initial state; the decision, if it returned.
+    fn run(p: &Program) -> Result<Option<i64>, ProgramError> {
+        let mut s = initial_local(p);
+        local_run(p, &mut s)?;
+        Ok((s[DECIDED] != 0).then_some(s[DECISION]))
+    }
+
     #[test]
     fn straight_line_arithmetic() {
         let mut b = ProgramBuilder::new();
@@ -474,9 +488,7 @@ mod tests {
         b.compute(y, y, BinOp::Mod, 4_i64);
         b.ret(y);
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
-        local_run(&p, &mut s).unwrap();
-        assert_eq!(s.decided, Some(3)); // 15 mod 4
+        assert_eq!(run(&p), Ok(Some(3))); // 15 mod 4
     }
 
     #[test]
@@ -497,9 +509,7 @@ mod tests {
         b.bind(done);
         b.ret(acc);
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
-        local_run(&p, &mut s).unwrap();
-        assert_eq!(s.decided, Some(10));
+        assert_eq!(run(&p), Ok(Some(10)));
     }
 
     #[test]
@@ -510,11 +520,11 @@ mod tests {
         b.invoke(0_i64, 1_i64, Some(r));
         b.ret(r);
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
+        let mut s = initial_local(&p);
         local_run(&p, &mut s).unwrap();
-        assert_eq!(s.pc, 1, "paused at the invoke");
-        assert_eq!(s.decided, None);
-        assert_eq!(s.vars[0], 7);
+        assert_eq!(s[PC], 1, "paused at the invoke");
+        assert_eq!(s[DECIDED], 0);
+        assert_eq!(s[VARS], 7);
     }
 
     #[test]
@@ -524,8 +534,7 @@ mod tests {
         b.bind(top);
         b.jump(top);
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
-        assert_eq!(local_run(&p, &mut s), Err(ProgramError::LocalDivergence));
+        assert_eq!(run(&p), Err(ProgramError::LocalDivergence));
     }
 
     #[test]
@@ -535,8 +544,7 @@ mod tests {
         b.compute(x, 1_i64, BinOp::Mod, 0_i64);
         b.ret(x);
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
-        assert_eq!(local_run(&p, &mut s), Err(ProgramError::DivisionByZero));
+        assert_eq!(run(&p), Err(ProgramError::DivisionByZero));
     }
 
     #[test]
@@ -554,11 +562,7 @@ mod tests {
         b.copy(x, 1_i64);
         // no Return
         let p = b.build().unwrap();
-        let mut s = ProcState::initial(&p);
-        assert_eq!(
-            local_run(&p, &mut s),
-            Err(ProgramError::PcOutOfRange { pc: 1 })
-        );
+        assert_eq!(run(&p), Err(ProgramError::PcOutOfRange { pc: 1 }));
     }
 
     #[test]
@@ -568,9 +572,7 @@ mod tests {
         b.ret(input);
         let p = b.build().unwrap();
         let p1 = p.with_input(input, 1);
-        let mut s = ProcState::initial(&p1);
-        local_run(&p1, &mut s).unwrap();
-        assert_eq!(s.decided, Some(1));
+        assert_eq!(run(&p1), Ok(Some(1)));
     }
 
     #[test]

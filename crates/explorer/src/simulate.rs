@@ -89,8 +89,10 @@ pub fn sample_executions(
         max_depth: 0,
         timeouts: 0,
     };
+    let mut children = Vec::new();
     for _ in 0..executions {
         let mut cfg = system.initial_config()?;
+        let width = cfg.row.len();
         let mut steps = 0usize;
         loop {
             if cfg.is_terminal() {
@@ -105,13 +107,15 @@ pub fn sample_executions(
             }
             // Pick a random undecided process.
             let undecided: Vec<usize> = (0..system.processes())
-                .filter(|&p| cfg.procs[p].decided.is_none())
+                .filter(|&p| cfg.decided(p).is_none())
                 .collect();
             let p = undecided[rng.below(undecided.len())];
-            let mut children = system.step(&cfg, p)?;
-            debug_assert!(!children.is_empty(), "undecided process can step");
-            let pick = rng.below(children.len());
-            cfg = children.swap_remove(pick);
+            children.clear();
+            let n = system.step_into(cfg.row(), p, &mut children)?;
+            debug_assert!(n > 0, "undecided process can step");
+            let pick = rng.below(n);
+            cfg.row
+                .copy_from_slice(&children[pick * width..(pick + 1) * width]);
             steps += 1;
         }
     }

@@ -136,6 +136,7 @@ pub fn replay_with(
     opts: &TraceOptions,
 ) -> Result<Trace, ExplorerError> {
     let mut cfg = system.initial_config()?;
+    let mut next = Vec::new();
     let mut steps = Vec::with_capacity(schedule.len());
     let mut tallies: Vec<ObjAccess> = system
         .objects()
@@ -152,14 +153,14 @@ pub fn replay_with(
         let access = system
             .pending_access(&cfg, p)?
             .ok_or(ExplorerError::NotWaitFree)?; // decided process scheduled: bogus schedule
-        let before_state = cfg.objects[access.obj];
+        let before_state = cfg.object_state(access.obj);
         let obj = &system.objects()[access.obj];
         let outcome = obj.ty().outcomes(before_state, access.port, access.inv)[0];
-        let children = system.step(&cfg, p)?;
-        cfg = children
-            .into_iter()
-            .next()
-            .expect("undecided process steps");
+        // Follow the first outcome, as `outcome` above does.
+        next.clear();
+        system.step_into(cfg.row(), p, &mut next)?;
+        let width = cfg.row.len();
+        cfg.row.copy_from_slice(&next[..width]);
         let inv_name = obj.ty().invocation_name(access.inv);
         let accesses = if opts.timings {
             let t = &mut tallies[access.obj];
@@ -179,13 +180,13 @@ pub fn replay_with(
             ty_name: obj.ty().name().to_owned(),
             inv: inv_name.to_owned(),
             resp: obj.ty().response_name(outcome.resp).to_owned(),
-            decided: cfg.procs[p].decided,
+            decided: cfg.decided(p),
             accesses,
         });
     }
     Ok(Trace {
         steps,
-        decisions: cfg.procs.iter().map(|p| p.decided).collect(),
+        decisions: (0..system.processes()).map(|p| cfg.decided(p)).collect(),
     })
 }
 

@@ -483,7 +483,7 @@ mod tests {
     /// survivors — `h(shift2) < 3`. Uses every core (`threads = 0`).
     /// Run with `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "exhaustive sweep, about 3.4 s in release on two cores; run with --ignored"]
+    #[ignore = "exhaustive sweep, about 1.3 s in release on two cores; run with --ignored"]
     fn no_winner_table_protocol_solves_3_consensus() {
         let outcome =
             search_shift2_three_process_full(&ExploreOptions::default().with_threads(0)).unwrap();

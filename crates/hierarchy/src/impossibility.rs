@@ -325,7 +325,7 @@ mod tests {
     /// Uses every core (`threads = 0`). Run with
     /// `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "exhaustive sweep, about 22 s in release on two cores; run with --ignored"]
+    #[ignore = "exhaustive sweep, about 8.5 s in release on two cores; run with --ignored"]
     fn no_two_read_register_protocol_solves_consensus() {
         let outcome =
             search_two_read_protocols(&ExploreOptions::default().with_threads(0)).unwrap();

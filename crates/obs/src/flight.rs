@@ -22,10 +22,11 @@
 //! claims a ticket `t` with one `fetch_add` on the shared head, picks
 //! slot `t % capacity`, and publishes with the classic seqlock dance:
 //!
-//! 1. store `seq = 2·t + 1` (odd: "write in progress"), then a
-//!    `Release` fence;
+//! 1. claim the slot by moving `seq` from an even value below `2·t + 1`
+//!    to `2·t + 1` (odd: "write in progress") with an `Acquire`
+//!    compare-and-swap, then a `Release` fence;
 //! 2. store the data words (`Relaxed` — each word is itself atomic, so
-//!    there is no data race, only possible *mixing* across writers);
+//!    there is no data race);
 //! 3. store `seq = 2·t + 2` (`Release`: orders the data stores before
 //!    the even value readers wait for).
 //!
@@ -38,13 +39,17 @@
 //! reads concurrent with writes stay consistent without blocking
 //! either side.
 //!
-//! Two writers collide on one slot only when a writer falls a full
-//! ring lap (`capacity` pushes) behind between claiming its ticket and
-//! finishing its three stores — with capacities in the hundreds and a
-//! bounded writer population (the server's fixed thread total), that
-//! window is unreachable in practice; a reader that does catch a mixed
-//! slot sees a torn sequence and drops it rather than reporting a
-//! frankenstein record.
+//! Two writers meet on one slot when one falls a full ring lap
+//! (`capacity` pushes) behind between claiming its ticket and finishing
+//! its stores. The claim makes that safe: a slot has at most one writer
+//! storing data words at a time, so a published slot always holds one
+//! record's words. A writer whose claim finds the slot odd (another
+//! writer is mid-write) or already holding a newer ticket drops its
+//! record instead of waiting, so `push` never blocks; under such a
+//! collision the ring may keep a slightly older record in that slot.
+//! Without the claim, a lagging writer's data stores could land inside
+//! a newer writer's published record, and a reader would report a
+//! record mixed from two pushes.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -105,17 +110,34 @@ impl FlightRecorder {
     }
 
     /// Publishes one record, overwriting the oldest once the ring is
-    /// full. Lock-free and allocation-free: one `fetch_add` plus
-    /// `RECORD_WORDS + 2` plain stores.
+    /// full. Lock-free and allocation-free: one `fetch_add`, a claim on
+    /// the slot, and `RECORD_WORDS + 1` plain stores. A record whose
+    /// slot is mid-write by another push, or already holds a newer one,
+    /// is dropped (see the module docs).
     pub fn push(&self, words: &[u64; RECORD_WORDS]) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        let claim = 2 * ticket + 1;
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seq % 2 == 1 || seq > claim {
+                return;
+            }
+            // `Acquire` pairs with the previous writer's `Release`
+            // publication, so its data stores are ordered before ours.
+            match slot
+                .seq
+                .compare_exchange_weak(seq, claim, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => seq = now,
+            }
+        }
         fence(Ordering::Release);
         for (word, &value) in slot.words.iter().zip(words) {
             word.store(value, Ordering::Relaxed);
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
     }
 
     /// A wait-free consistent copy of every fully published record,

@@ -186,28 +186,31 @@ impl Registry {
         m.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The instrument named `name` in `map`, creating it on first use.
+    /// A hit clones the existing handle and allocates nothing; only a
+    /// miss allocates the owned key.
+    fn lookup<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+        let mut map = Self::lock(map);
+        if let Some(handle) = map.get(name) {
+            return Arc::clone(handle);
+        }
+        Arc::clone(map.entry(name.to_owned()).or_default())
+    }
+
     /// The counter named `name`, creating it on first use. Keep the
     /// handle to update lock-free on hot paths.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            Self::lock(&self.counters)
-                .entry(name.to_owned())
-                .or_default(),
-        )
+        Self::lookup(&self.counters, name)
     }
 
     /// The gauge named `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(Self::lock(&self.gauges).entry(name.to_owned()).or_default())
+        Self::lookup(&self.gauges, name)
     }
 
     /// The histogram named `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            Self::lock(&self.histograms)
-                .entry(name.to_owned())
-                .or_default(),
-        )
+        Self::lookup(&self.histograms, name)
     }
 
     /// A sorted copy of every instrument's current value.
