@@ -16,10 +16,9 @@
 //!   agreement and validity are checked.
 
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 
 use crate::error::ExplorerError;
-use crate::graph::ConfigGraph;
+use crate::graph::{ConfigGraph, Interner};
 use crate::system::System;
 
 pub use wfc_spec::control::{Budget, CancelToken, Progress, Wall};
@@ -262,66 +261,154 @@ pub struct Violation {
 /// Searches for a single schedule on which `system` violates consensus
 /// agreement or validity (decisions outside `allowed`), returning it for
 /// inspection — the counterexample extractor behind the refutation
-/// tests.
+/// tests, and the hierarchy sweeps' refuter.
 ///
-/// Walks the execution tree path by path (unlike [`explore`], which
-/// merges), so it can reconstruct the schedule; stops at the first
-/// violation.
+/// An iterative depth-first search over the configuration *graph*:
+/// configurations are interned, so a shared subtree is searched once,
+/// and a configuration still on the current path marks a cycle.
+/// Children are generated in process order, then outcome order, and
+/// taken last first; on an acyclic graph this meets the same first
+/// violating execution (schedule and decisions) as walking the
+/// execution tree path by path would. Without a violation the search
+/// visits exactly [`explore`]'s reachable configurations and edges.
 ///
 /// # Errors
 ///
-/// Returns [`ExplorerError`] on malformed programs; the search visits at
-/// most `opts.budget.configs` path prefixes.
+/// Cancellation and the wall-clock deadline stop the search directly.
+/// A malformed program, a cycle (an infinite execution) or more than
+/// `opts.budget.configs` distinct configurations stop it too, and then
+/// the system is re-run through [`explore`] so the error returned is
+/// exactly `explore`'s. A violation met before any of these is still
+/// returned, since it refutes the system on its own.
 pub fn find_violation(
     system: &System,
     allowed: &[i64],
     opts: &ExploreOptions,
 ) -> Result<Option<Violation>, ExplorerError> {
-    let layout = system.layout();
-    let mut visited = 0u64;
-    let mut found = None;
-    system.walk_paths(|row, schedule| {
-        let progress = Progress {
-            configs: visited,
-            ..Progress::default()
-        };
-        if opts.cancel.is_cancelled() {
-            progress.record();
-            return Err(ExplorerError::Cancelled { progress });
+    let mut search = ViolationSearch::default();
+    let found = search.run(system, allowed, opts);
+    if opts.obs.metrics {
+        let reg = wfc_obs::metrics::Registry::global();
+        reg.counter("explorer.configs").add(search.configs as u64);
+        reg.counter("explorer.edges").add(search.edges as u64);
+    }
+    match found {
+        Ok(found) => Ok(found),
+        Err(Stop::Control(e)) => Err(e),
+        Err(Stop::Defer) => {
+            Err(explore(system, opts)
+                .expect_err("explore fails wherever the violation search stopped"))
         }
-        // Clock reads are much costlier than the pop itself; amortize.
-        if visited & 0x3FF == 0 {
-            if let Some(e) = opts.budget.wall_exceeded(progress) {
-                return Err(ExplorerError::Exhausted(e));
+    }
+}
+
+/// Why [`ViolationSearch::run`] stopped without an answer.
+enum Stop {
+    /// Cancellation or the wall clock: returned as is.
+    Control(ExplorerError),
+    /// A program error, a cycle or the configs budget: [`explore`]
+    /// names the error.
+    Defer,
+}
+
+/// The work one [`find_violation`] call did, for its metrics.
+#[derive(Default)]
+struct ViolationSearch {
+    /// Distinct configurations interned.
+    configs: usize,
+    /// Edges generated: one per child of every expanded configuration.
+    edges: usize,
+}
+
+impl ViolationSearch {
+    fn run(
+        &mut self,
+        system: &System,
+        allowed: &[i64],
+        opts: &ExploreOptions,
+    ) -> Result<Option<Violation>, Stop> {
+        /// Interned but not entered yet, on the current path, finished.
+        const NEW: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const DONE: u8 = 2;
+
+        let layout = system.layout();
+        let width = layout.width();
+        let init = system.initial_config().map_err(|_| Stop::Defer)?;
+        let mut nodes = Interner::new(width);
+        nodes.intern(init.row());
+        self.configs = 1;
+        let mut colour = vec![NEW];
+        // `(node, process that stepped into it, depth)`, taken last first.
+        let mut pending: Vec<(usize, usize, usize)> = vec![(0, 0, 0)];
+        // The current execution: each configuration on it with the
+        // process that stepped into it (the root's is unused).
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        let mut kids: Vec<i64> = Vec::new();
+        let mut entered = 0u64;
+        while let Some((v, p, depth)) = pending.pop() {
+            // Every configuration below `depth` on the path has had all
+            // its children taken: their subtrees are finished.
+            for (u, _) in path.drain(depth..) {
+                colour[u] = DONE;
             }
-        }
-        visited += 1;
-        if let Some(e) = opts.budget.configs_exceeded(
-            visited,
-            Progress {
-                configs: visited,
+            match colour[v] {
+                ON_PATH => return Err(Stop::Defer),
+                DONE => continue,
+                _ => {}
+            }
+            let progress = Progress {
+                configs: self.configs as u64,
                 ..Progress::default()
-            },
-        ) {
-            return Err(ExplorerError::Exhausted(e));
-        }
-        if layout.is_terminal(row) {
-            let mut decisions = Vec::new();
-            layout.decisions_into(row, &mut decisions);
-            let disagreement = decisions.windows(2).any(|w| w[0] != w[1]);
-            let invalid = decisions.iter().any(|d| !allowed.contains(d));
-            if disagreement || invalid {
-                found = Some(Violation {
-                    schedule: schedule.to_vec(),
-                    decisions,
-                    disagreement,
-                });
-                return Ok(ControlFlow::Break(()));
+            };
+            if opts.cancel.is_cancelled() {
+                progress.record();
+                return Err(Stop::Control(ExplorerError::Cancelled { progress }));
+            }
+            // Clock reads are much costlier than a step; amortize.
+            if entered & 0x3FF == 0 {
+                if let Some(e) = opts.budget.wall_exceeded(progress) {
+                    return Err(Stop::Control(ExplorerError::Exhausted(e)));
+                }
+            }
+            entered += 1;
+            colour[v] = ON_PATH;
+            path.push((v, p));
+            if layout.is_terminal(nodes.row(v)) {
+                let mut decisions = Vec::new();
+                layout.decisions_into(nodes.row(v), &mut decisions);
+                let disagreement = decisions.windows(2).any(|w| w[0] != w[1]);
+                let invalid = decisions.iter().any(|d| !allowed.contains(d));
+                if disagreement || invalid {
+                    return Ok(Some(Violation {
+                        schedule: path[1..].iter().map(|&(_, p)| p).collect(),
+                        decisions,
+                        disagreement,
+                    }));
+                }
+                continue;
+            }
+            for q in 0..system.processes() {
+                kids.clear();
+                let n = system
+                    .step_into(nodes.row(v), q, &mut kids)
+                    .map_err(|_| Stop::Defer)?;
+                for kid in kids.chunks_exact(width) {
+                    let (c, new) = nodes.intern(kid);
+                    if new {
+                        self.configs += 1;
+                        if self.configs as u64 > opts.budget.configs {
+                            return Err(Stop::Defer);
+                        }
+                        colour.push(NEW);
+                    }
+                    pending.push((c, q, depth + 1));
+                }
+                self.edges += n;
             }
         }
-        Ok(ControlFlow::Continue(()))
-    })?;
-    Ok(found)
+        Ok(None)
+    }
 }
 
 /// Exhaustively explores every interleaving of `system`.
@@ -521,8 +608,7 @@ mod tests {
     }
 
     /// A process spinning on a register forever: not wait-free.
-    #[test]
-    fn spin_loop_is_not_wait_free() {
+    fn spin_loop() -> System {
         let reg = Arc::new(canonical::boolean_register(2));
         let init = reg.state_id("v0").unwrap();
         let read = reg.invocation_id("read").unwrap();
@@ -537,9 +623,13 @@ mod tests {
         b.compute(t, r, crate::program::BinOp::Eq, r1.index() as i64);
         b.jump_if_zero(t, top); // loop until the register reads 1 (never)
         b.ret(r);
-        let sys = System::new(vec![obj], vec![b.build().unwrap()]);
+        System::new(vec![obj], vec![b.build().unwrap()])
+    }
+
+    #[test]
+    fn spin_loop_is_not_wait_free() {
         assert_eq!(
-            explore(&sys, &ExploreOptions::default()).unwrap_err(),
+            explore(&spin_loop(), &ExploreOptions::default()).unwrap_err(),
             ExplorerError::NotWaitFree
         );
     }
@@ -761,6 +851,59 @@ mod tests {
             .expect("9 is not a proposed value");
         assert!(!v.disagreement, "single process cannot disagree");
         assert_eq!(v.decisions, vec![9]);
+    }
+
+    #[test]
+    fn find_violation_reports_a_spin_loop_as_not_wait_free() {
+        // The loop's one configuration steps to itself: the search meets
+        // it on its own path at once, instead of walking the cycle until
+        // the configs budget trips.
+        assert_eq!(
+            find_violation(&spin_loop(), &[0, 1], &ExploreOptions::default()).unwrap_err(),
+            ExplorerError::NotWaitFree
+        );
+    }
+
+    /// Four processes each read a register nobody writes six times, then
+    /// decide 0: `24! / (6!)^4`, about 2.3 · 10^12 executions, but only
+    /// `7^4 = 2401` configurations.
+    fn idle_readers() -> System {
+        let reg = Arc::new(canonical::boolean_register(4));
+        let init = reg.state_id("v0").unwrap();
+        let read = reg.invocation_id("read").unwrap().index() as i64;
+        let obj = ObjectInstance::identity_ports(reg, init, 4);
+        let reader = {
+            let mut b = ProgramBuilder::new();
+            let r = b.var("r");
+            for _ in 0..6 {
+                b.invoke(0_i64, read, Some(r));
+            }
+            b.ret(0_i64);
+            b.build().unwrap()
+        };
+        System::new(vec![obj], vec![reader; 4])
+    }
+
+    #[test]
+    fn find_violation_searches_the_graph_not_the_tree() {
+        let sys = idle_readers();
+        let opts = ExploreOptions::default();
+        assert_eq!(explore(&sys, &opts).unwrap().configs, 2401);
+        assert_eq!(find_violation(&sys, &[0], &opts), Ok(None));
+    }
+
+    #[test]
+    fn find_violation_budget_counts_distinct_configurations() {
+        // Without a violation the search interns every configuration:
+        // a budget of exactly `explore`'s count fits, one below trips,
+        // and the error is `explore`'s own.
+        let sys = idle_readers();
+        let at = ExploreOptions::default().with_max_configs(2401);
+        assert_eq!(find_violation(&sys, &[0], &at), Ok(None));
+        let below = ExploreOptions::default().with_max_configs(2400);
+        let e = find_violation(&sys, &[0], &below).unwrap_err();
+        assert_eq!(e, explore(&sys, &below).unwrap_err());
+        assert_eq!(exhausted(e), (Resource::Configs, 2400, 2401));
     }
 
     /// Access bounds separate reads from writes per object.

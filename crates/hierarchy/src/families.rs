@@ -20,16 +20,16 @@
 //!   window whose oldest entry names the *first* writer) cannot decide a
 //!   race. Every candidate fails: `h_1(mpr1) = 1` on this family.
 //!
-//! Each sweep is exhaustive over its strategy space and model-checks
-//! every candidate against every input vector and every schedule, on
-//! the same parallel runner as
+//! Each sweep is exhaustive over its strategy space: every candidate is
+//! refuted by a violating execution or verified on every schedule of
+//! every input vector, on the same parallel runner as
 //! [`crate::impossibility::search_one_round_protocols`].
 
 use std::sync::Arc;
 
 use wfc_explorer::program::{BinOp, ProgramBuilder};
 use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
-use wfc_spec::{canonical, PortId};
+use wfc_spec::{canonical, FiniteType, PortId};
 
 use crate::sweep::{self, Swept};
 
@@ -42,8 +42,8 @@ pub struct FamilyOutcome {
     /// Candidates that satisfied consensus on every schedule of every
     /// input vector.
     pub survivor_count: usize,
-    /// Exhaustive explorations performed (early termination per
-    /// candidate on the first failing input vector).
+    /// Violation searches and exhaustive explorations performed (early
+    /// termination per candidate on the first refuting input vector).
     pub explorations: usize,
 }
 
@@ -97,16 +97,19 @@ impl Shift1Strategy {
     }
 }
 
-fn build_shift1_system([s0, s1]: [Shift1Strategy; 2], inputs: [bool; 2]) -> System {
-    let reg = Arc::new(canonical::boolean_register(2));
-    let shift = Arc::new(canonical::shift_register(1, 2));
+fn build_shift1_system(
+    reg: &Arc<FiniteType>,
+    shift: &Arc<FiniteType>,
+    [s0, s1]: [Shift1Strategy; 2],
+    inputs: [bool; 2],
+) -> System {
     let v0 = reg.state_id("v0").unwrap();
     let init = shift.state_id("1").unwrap();
     let announce = |p: usize| {
         let mut ports = vec![None, None];
         ports[p] = Some(PortId::new(0));
         ports[1 - p] = Some(PortId::new(1));
-        ObjectInstance::new(Arc::clone(&reg), v0, ports)
+        ObjectInstance::new(Arc::clone(reg), v0, ports)
     };
     let read = reg.invocation_id("read").unwrap().index() as i64;
     let shl = shift.invocation_id("shl").unwrap().index() as i64;
@@ -139,7 +142,7 @@ fn build_shift1_system([s0, s1]: [Shift1Strategy; 2], inputs: [bool; 2]) -> Syst
         vec![
             announce(0),
             announce(1),
-            ObjectInstance::identity_ports(shift, init, 2),
+            ObjectInstance::identity_ports(Arc::clone(shift), init, 2),
         ],
         vec![program(0, s0, inputs[0]), program(1, s1, inputs[1])],
     )
@@ -156,12 +159,11 @@ fn build_shift1_system([s0, s1]: [Shift1Strategy; 2], inputs: [bool; 2]) -> Syst
 pub fn search_shift1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
     let strategies = Shift1Strategy::all();
     let candidates = sweep::product([&strategies[..], &strategies[..]]);
-    sweep::run(
-        "search_shift1_protocols",
-        opts,
-        &candidates,
-        build_shift1_system,
-    )
+    let reg = Arc::new(canonical::boolean_register(2));
+    let shift = Arc::new(canonical::shift_register(1, 2));
+    sweep::run("search_shift1_protocols", opts, &candidates, |c, i| {
+        build_shift1_system(&reg, &shift, c, i)
+    })
     .map(FamilyOutcome::from)
 }
 
@@ -214,9 +216,22 @@ impl ShiftWinnerStrategy {
     }
 }
 
+/// The winner-table system on `inputs`, with types built for this one
+/// call; the sweeps build theirs once and call
+/// [`shift2_three_system`].
+#[cfg(test)]
 fn build_shift2_three_system(strategies: [ShiftWinnerStrategy; 3], inputs: [bool; 3]) -> System {
     let reg = Arc::new(canonical::boolean_register(2));
     let shift = Arc::new(canonical::shift_register(2, 3));
+    shift2_three_system(&reg, &shift, strategies, inputs)
+}
+
+fn shift2_three_system(
+    reg: &Arc<FiniteType>,
+    shift: &Arc<FiniteType>,
+    strategies: [ShiftWinnerStrategy; 3],
+    inputs: [bool; 3],
+) -> System {
     let v0 = reg.state_id("v0").unwrap();
     let init = shift.state_id("01").unwrap();
     let read = reg.invocation_id("read").unwrap().index() as i64;
@@ -234,15 +249,12 @@ fn build_shift2_three_system(strategies: [ShiftWinnerStrategy; 3], inputs: [bool
             let mut ports = vec![None, None, None];
             ports[p] = Some(PortId::new(0));
             ports[q] = Some(PortId::new(1));
-            ObjectInstance::new(Arc::clone(&reg), v0, ports)
+            ObjectInstance::new(Arc::clone(reg), v0, ports)
         })
         .collect();
     let shift_obj = objects.len() as i64;
-    let resp_id = {
-        let ty = Arc::clone(&shift);
-        move |name: &str| ty.response_id(name).unwrap().index() as i64
-    };
-    objects.push(ObjectInstance::identity_ports(shift, init, 3));
+    let resp_id = |name: &str| shift.response_id(name).unwrap().index() as i64;
+    objects.push(ObjectInstance::identity_ports(Arc::clone(shift), init, 3));
     let program = |me: usize, s: ShiftWinnerStrategy, input: bool| {
         let write = reg
             .invocation_id(if input { "write1" } else { "write0" })
@@ -316,11 +328,13 @@ pub fn search_shift2_three_process_reduced(
         .collect();
     let third = ShiftWinnerStrategy::all();
     let candidates = sweep::product([&first[..], &second[..], &third[..]]);
+    let reg = Arc::new(canonical::boolean_register(2));
+    let shift = Arc::new(canonical::shift_register(2, 3));
     sweep::run(
         "search_shift2_three_process_reduced",
         opts,
         &candidates,
-        build_shift2_three_system,
+        |c, i| shift2_three_system(&reg, &shift, c, i),
     )
     .map(FamilyOutcome::from)
 }
@@ -328,8 +342,8 @@ pub fn search_shift2_three_process_reduced(
 /// The full 3-process winner-table sweep: `18³ = 5832` candidate
 /// triples, every input vector, every schedule. Zero survivors:
 /// `h(shift2) < 3`, so with the model-checked 2-process protocol,
-/// `h(shift2) = 2` exactly. Expensive (about 3.4 s in release on two
-/// cores); exercised by the `--ignored` test
+/// `h(shift2) = 2` exactly. About 0.07 s in release on two cores
+/// (0.7 s in a debug build); exercised by the test
 /// `no_winner_table_protocol_solves_3_consensus`.
 ///
 /// # Errors
@@ -340,11 +354,13 @@ pub fn search_shift2_three_process_full(
 ) -> Result<FamilyOutcome, ExplorerError> {
     let strategies = ShiftWinnerStrategy::all();
     let candidates = sweep::product([&strategies[..], &strategies[..], &strategies[..]]);
+    let reg = Arc::new(canonical::boolean_register(2));
+    let shift = Arc::new(canonical::shift_register(2, 3));
     sweep::run(
         "search_shift2_three_process_full",
         opts,
         &candidates,
-        build_shift2_three_system,
+        |c, i| shift2_three_system(&reg, &shift, c, i),
     )
     .map(FamilyOutcome::from)
 }
@@ -378,8 +394,11 @@ impl Mpr1Strategy {
     }
 }
 
-fn build_mpr1_system([s0, s1]: [Mpr1Strategy; 2], inputs: [bool; 2]) -> System {
-    let mpr = Arc::new(canonical::mpr(1, 2));
+fn build_mpr1_system(
+    mpr: &Arc<FiniteType>,
+    [s0, s1]: [Mpr1Strategy; 2],
+    inputs: [bool; 2],
+) -> System {
     let empty = mpr.state_id("⟨⟩").unwrap();
     let read = mpr.invocation_id("read").unwrap().index() as i64;
     let marker_inv = [
@@ -407,7 +426,7 @@ fn build_mpr1_system([s0, s1]: [Mpr1Strategy; 2], inputs: [bool; 2]) -> System {
         b.build().expect("well-formed mpr1 program")
     };
     System::new(
-        vec![ObjectInstance::identity_ports(mpr, empty, 2)],
+        vec![ObjectInstance::identity_ports(Arc::clone(mpr), empty, 2)],
         vec![program(0, s0, inputs[0]), program(1, s1, inputs[1])],
     )
 }
@@ -424,12 +443,10 @@ fn build_mpr1_system([s0, s1]: [Mpr1Strategy; 2], inputs: [bool; 2]) -> System {
 pub fn search_mpr1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
     let strategies = Mpr1Strategy::all();
     let candidates = sweep::product([&strategies[..], &strategies[..]]);
-    sweep::run(
-        "search_mpr1_protocols",
-        opts,
-        &candidates,
-        build_mpr1_system,
-    )
+    let mpr = Arc::new(canonical::mpr(1, 2));
+    sweep::run("search_mpr1_protocols", opts, &candidates, |c, i| {
+        build_mpr1_system(&mpr, c, i)
+    })
     .map(FamilyOutcome::from)
 }
 
@@ -481,9 +498,7 @@ mod tests {
 
     /// The full winner-table sweep: `18³ = 5832` triples, zero
     /// survivors — `h(shift2) < 3`. Uses every core (`threads = 0`).
-    /// Run with `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "exhaustive sweep, about 1.3 s in release on two cores; run with --ignored"]
     fn no_winner_table_protocol_solves_3_consensus() {
         let outcome =
             search_shift2_three_process_full(&ExploreOptions::default().with_threads(0)).unwrap();

@@ -14,8 +14,8 @@
 //!
 //! There are `2 · 16` choices per process — order × decision table —
 //! giving `1024` candidate protocols. [`search_one_round_protocols`]
-//! model-checks **every candidate against every input vector and every
-//! schedule** and reports the survivors. The classical theorem predicts
+//! refutes **every candidate by a violating execution, or verifies it on
+//! every schedule of every input vector**, and reports the survivors. The classical theorem predicts
 //! zero; the search confirms it, making the impossibility *exhaustively
 //! verified* on this family rather than cited.
 
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use wfc_explorer::program::{BinOp, ProgramBuilder};
 use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
-use wfc_spec::{canonical, PortId};
+use wfc_spec::{canonical, FiniteType, PortId};
 
 use crate::families::FamilyOutcome;
 use crate::sweep;
@@ -63,19 +63,18 @@ pub struct SearchOutcome {
     /// on every schedule of every input vector. The classical
     /// impossibility predicts this is empty.
     pub survivors: Vec<(Strategy, Strategy)>,
-    /// Total exhaustive explorations performed.
+    /// Total violation searches and exhaustive explorations performed.
     pub explorations: usize,
 }
 
-fn build_system([s0, s1]: [Strategy; 2], inputs: [bool; 2]) -> System {
-    let reg = Arc::new(canonical::boolean_register(2));
+fn build_system(reg: &Arc<FiniteType>, [s0, s1]: [Strategy; 2], inputs: [bool; 2]) -> System {
     let v0 = reg.state_id("v0").unwrap();
     // announce[p] written by p (port 0), read by 1-p (port 1).
     let announce = |p: usize| {
         let mut ports = vec![None, None];
         ports[p] = Some(PortId::new(0));
         ports[1 - p] = Some(PortId::new(1));
-        ObjectInstance::new(Arc::clone(&reg), v0, ports)
+        ObjectInstance::new(Arc::clone(reg), v0, ports)
     };
     let read = reg.invocation_id("read").unwrap().index() as i64;
     let program = |me: usize, s: Strategy, input: bool| {
@@ -119,12 +118,10 @@ fn build_system([s0, s1]: [Strategy; 2], inputs: [bool; 2]) -> System {
 pub fn search_one_round_protocols(opts: &ExploreOptions) -> Result<SearchOutcome, ExplorerError> {
     let strategies = Strategy::all();
     let candidates = sweep::product([&strategies[..], &strategies[..]]);
-    let swept = sweep::run(
-        "search_one_round_protocols",
-        opts,
-        &candidates,
-        build_system,
-    )?;
+    let reg = Arc::new(canonical::boolean_register(2));
+    let swept = sweep::run("search_one_round_protocols", opts, &candidates, |c, i| {
+        build_system(&reg, c, i)
+    })?;
     Ok(SearchOutcome {
         candidates: swept.candidates,
         survivors: swept
@@ -170,14 +167,17 @@ impl TwoReadStrategy {
     }
 }
 
-fn build_two_read_system([s0, s1]: [TwoReadStrategy; 2], inputs: [bool; 2]) -> System {
-    let reg = Arc::new(canonical::boolean_register(2));
+fn build_two_read_system(
+    reg: &Arc<FiniteType>,
+    [s0, s1]: [TwoReadStrategy; 2],
+    inputs: [bool; 2],
+) -> System {
     let v0 = reg.state_id("v0").unwrap();
     let announce = |p: usize| {
         let mut ports = vec![None, None];
         ports[p] = Some(PortId::new(0));
         ports[1 - p] = Some(PortId::new(1));
-        ObjectInstance::new(Arc::clone(&reg), v0, ports)
+        ObjectInstance::new(Arc::clone(reg), v0, ports)
     };
     let read = reg.invocation_id("read").unwrap().index() as i64;
     let program = |me: usize, s: TwoReadStrategy, input: bool| {
@@ -235,7 +235,7 @@ pub type TwoReadOutcome = FamilyOutcome;
 
 /// Exhaustively searches the two-read family (`768² = 589 824` candidate
 /// protocols) for a correct register-only consensus. The classical
-/// impossibility predicts zero survivors. Expensive (about 22 s in
+/// impossibility predicts zero survivors. Expensive (about 2.7 s in
 /// release on two cores); exercised by the `--ignored` test
 /// `no_two_read_register_protocol_solves_consensus`.
 ///
@@ -245,12 +245,10 @@ pub type TwoReadOutcome = FamilyOutcome;
 pub fn search_two_read_protocols(opts: &ExploreOptions) -> Result<TwoReadOutcome, ExplorerError> {
     let strategies = TwoReadStrategy::all();
     let candidates = sweep::product([&strategies[..], &strategies[..]]);
-    sweep::run(
-        "search_two_read_protocols",
-        opts,
-        &candidates,
-        build_two_read_system,
-    )
+    let reg = Arc::new(canonical::boolean_register(2));
+    sweep::run("search_two_read_protocols", opts, &candidates, |c, i| {
+        build_two_read_system(&reg, c, i)
+    })
     .map(FamilyOutcome::from)
 }
 
@@ -315,8 +313,10 @@ mod tests {
             decide,
         };
         let opts = ExploreOptions::default();
+        let reg = Arc::new(canonical::boolean_register(2));
+        let build = |c, i| build_two_read_system(&reg, c, i);
         assert!(
-            !sweep::is_consensus([s, s], build_two_read_system, &opts, &mut 0).unwrap(),
+            !sweep::is_consensus([s, s], build, &opts, &mut 0).unwrap(),
             "the plausible rule must fail on some vector"
         );
     }
@@ -325,7 +325,7 @@ mod tests {
     /// Uses every core (`threads = 0`). Run with
     /// `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "exhaustive sweep, about 8.5 s in release on two cores; run with --ignored"]
+    #[ignore = "exhaustive sweep, about 2.7 s in release on two cores; run with --ignored"]
     fn no_two_read_register_protocol_solves_consensus() {
         let outcome =
             search_two_read_protocols(&ExploreOptions::default().with_threads(0)).unwrap();
@@ -343,12 +343,13 @@ mod tests {
             decide: [[0, 0], [1, 1]],
         };
         let opts = ExploreOptions::default();
+        let reg = Arc::new(canonical::boolean_register(2));
         for inputs in [[false, false], [true, true]] {
-            let system = build_system([own_value, own_value], inputs);
+            let system = build_system(&reg, [own_value, own_value], inputs);
             let e = explore(&system, &opts).unwrap();
             assert!(e.decisions_agree(), "equal inputs must agree");
         }
-        let system = build_system([own_value, own_value], [false, true]);
+        let system = build_system(&reg, [own_value, own_value], [false, true]);
         let e = explore(&system, &opts).unwrap();
         assert!(!e.decisions_agree(), "mixed inputs expose the flaw");
     }

@@ -8,6 +8,12 @@
 //! systems are far too small for the explorer's own frontier pool, and a
 //! pool nested inside a pool would only oversubscribe the cores.
 //!
+//! A candidate is refuted by a concrete execution:
+//! [`wfc_explorer::find_violation`] searches one input vector at a time,
+//! mixed vectors first, and stops at the first violating terminal. Only
+//! a candidate that no vector refutes pays for full explorations, one
+//! per vector, which verify it on every schedule.
+//!
 //! The outcome is identical at every thread count. Per-candidate
 //! verdicts come back in candidate order; each candidate stops at its
 //! first refuting input vector, so its exploration count does not depend
@@ -19,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wfc_explorer::pool::parallel_map;
-use wfc_explorer::{explore, ExploreOptions, ExplorerError, Progress, System};
+use wfc_explorer::{explore, find_violation, ExploreOptions, ExplorerError, Progress, System};
 
 /// What a sweep found.
 pub(crate) struct Swept<C> {
@@ -28,7 +34,7 @@ pub(crate) struct Swept<C> {
     /// Candidates that satisfied consensus on every schedule of every
     /// input vector, in candidate order.
     pub(crate) survivors: Vec<C>,
-    /// Exhaustive explorations performed.
+    /// Violation searches plus exhaustive explorations performed.
     pub(crate) explorations: usize,
 }
 
@@ -67,21 +73,44 @@ fn poll(opts: &ExploreOptions, explorations: usize) -> Result<(), ExplorerError>
     Ok(())
 }
 
-/// Checks one candidate against every input vector and schedule,
-/// stopping at the first vector that refutes it.
+/// The input vectors of `N` processes in the order a candidate meets
+/// them: every mixed vector, then all-`false`, then all-`true`. Equal
+/// inputs rarely refute a candidate, so the cheap refutations come
+/// first.
+fn input_vectors<const N: usize>() -> impl Iterator<Item = [bool; N]> {
+    let all = (1u32 << N) - 1;
+    (1..all)
+        .chain([0, all])
+        .map(|mask| std::array::from_fn(|p| (mask >> p) & 1 != 0))
+}
+
+/// The values a process may decide on `inputs`: the proposed ones.
+fn proposed<const N: usize>(inputs: [bool; N]) -> Vec<i64> {
+    inputs.iter().map(|&b| i64::from(b)).collect()
+}
+
+/// Checks one candidate against every input vector and schedule. Each
+/// vector is searched for a violating execution, which refutes the
+/// candidate at once. A candidate no execution refutes is then
+/// explored exhaustively on every vector, so a survivor carries
+/// [`explore`]'s verdict and budgets. Each search and each exploration
+/// counts once in `explorations`.
 pub(crate) fn is_consensus<S: Copy, const N: usize>(
     candidate: [S; N],
     build: impl Fn([S; N], [bool; N]) -> System,
     opts: &ExploreOptions,
     explorations: &mut usize,
 ) -> Result<bool, ExplorerError> {
-    for mask in 0..1u32 << N {
-        let inputs: [bool; N] = std::array::from_fn(|p| (mask >> p) & 1 != 0);
-        let system = build(candidate, inputs);
+    for inputs in input_vectors::<N>() {
         *explorations += 1;
-        let e = explore(&system, opts)?;
-        let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-        if !e.decisions_agree() || !e.decisions_within(&allowed) {
+        if find_violation(&build(candidate, inputs), &proposed(inputs), opts)?.is_some() {
+            return Ok(false);
+        }
+    }
+    for inputs in input_vectors::<N>() {
+        *explorations += 1;
+        let e = explore(&build(candidate, inputs), opts)?;
+        if !e.decisions_agree() || !e.decisions_within(&proposed(inputs)) {
             return Ok(false);
         }
     }
@@ -156,6 +185,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::families::{self, FamilyOutcome};
+    use crate::impossibility;
     use wfc_explorer::program::ProgramBuilder;
 
     /// One process deciding its own input — a survivor — unless
@@ -187,7 +218,137 @@ mod tests {
             assert_eq!(error, Some(lowest), "threads={threads}");
             let swept = run("test", &opts, &good, own_input_or_broken).unwrap();
             assert_eq!(swept.survivors, good, "threads={threads}");
-            assert_eq!(swept.explorations, 6, "threads={threads}");
+            // Each survivor is searched, then explored, on both vectors.
+            assert_eq!(swept.explorations, 12, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn mixed_input_vectors_come_first() {
+        let (f, t) = (false, true);
+        let two: Vec<[bool; 2]> = input_vectors().collect();
+        assert_eq!(two, [[t, f], [f, t], [f, f], [t, t]]);
+        let three: Vec<[bool; 3]> = input_vectors().collect();
+        assert_eq!(three.len(), 8);
+        assert_eq!(three[6..], [[f; 3], [t; 3]]);
+    }
+
+    /// Two-process candidates for the positive control.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Protocol {
+        /// Test-and-set plus announce registers: solves consensus.
+        Tas,
+        /// Compare-and-swap plus announce registers: solves consensus.
+        CasAnnounce,
+        /// Each process decides its own input: disagrees on mixed inputs.
+        OwnInput,
+    }
+
+    /// The system of a candidate `[p, p]` on `inputs`.
+    fn protocol_system([p, _]: [Protocol; 2], inputs: [bool; 2]) -> System {
+        match p {
+            Protocol::Tas => wfc_consensus::tas_consensus_system(inputs).system,
+            Protocol::CasAnnounce => wfc_consensus::cas_announce_consensus_system(&inputs).system,
+            Protocol::OwnInput => {
+                let own = |input: bool| {
+                    let mut b = ProgramBuilder::new();
+                    b.ret(i64::from(input));
+                    b.build().unwrap()
+                };
+                System::new(Vec::new(), vec![own(inputs[0]), own(inputs[1])])
+            }
+        }
+    }
+
+    /// Guard against a runner that refutes everything: correct protocols
+    /// among refutable candidates survive, and the searches that clear
+    /// them visit exactly `explore`'s configurations on every vector.
+    #[test]
+    fn correct_protocols_survive_and_are_searched_in_full() {
+        use Protocol::*;
+        let candidates = [OwnInput, Tas, OwnInput, CasAnnounce].map(|p| [p, p]);
+        for threads in [1, 2, 4, 8] {
+            let opts = ExploreOptions::default().with_threads(threads);
+            let swept = run("test", &opts, &candidates, protocol_system).unwrap();
+            assert_eq!(swept.survivors, [[Tas, Tas], [CasAnnounce, CasAnnounce]]);
+            // An own-input candidate falls to the first mixed vector; a
+            // survivor is searched, then explored, on all four.
+            assert_eq!(swept.explorations, 1 + 8 + 1 + 8, "threads={threads}");
+        }
+        // A search fits a configs budget of exactly `explore`'s size and
+        // trips one below it, with `explore`'s error.
+        let opts = ExploreOptions::default();
+        for p in [Tas, CasAnnounce] {
+            for inputs in input_vectors() {
+                let system = protocol_system([p, p], inputs);
+                let allowed = proposed(inputs);
+                let configs = explore(&system, &opts).unwrap().configs;
+                let at = opts.with_max_configs(configs);
+                assert_eq!(find_violation(&system, &allowed, &at), Ok(None));
+                let below = opts.with_max_configs(configs - 1);
+                assert_eq!(
+                    find_violation(&system, &allowed, &below).unwrap_err(),
+                    explore(&system, &below).unwrap_err(),
+                    "{p:?} on {inputs:?}"
+                );
+            }
+        }
+    }
+
+    /// `(candidates, survivors, explorations)` of each named sweep.
+    type Pinned = Vec<(&'static str, (usize, usize, usize))>;
+
+    fn family(o: Result<FamilyOutcome, ExplorerError>) -> (usize, usize, usize) {
+        let o = o.unwrap();
+        (o.candidates, o.survivor_count, o.explorations)
+    }
+
+    /// Every sweep's outcome at every thread count. The exploration
+    /// counts are the sweeps' cost: a violation search per refuting
+    /// vector, plus a full exploration per vector of a survivor.
+    #[test]
+    fn every_sweep_outcome_is_pinned_at_every_thread_count() {
+        for threads in [1, 2, 4, 8] {
+            let o = ExploreOptions::default().with_threads(threads);
+            let one_round = impossibility::search_one_round_protocols(&o).unwrap();
+            let outcomes: Pinned = vec![
+                (
+                    "one_round",
+                    (
+                        one_round.candidates,
+                        one_round.survivors.len(),
+                        one_round.explorations,
+                    ),
+                ),
+                ("shift1", family(families::search_shift1_protocols(&o))),
+                ("mpr1", family(families::search_mpr1_protocols(&o))),
+                (
+                    "shift2_reduced",
+                    family(families::search_shift2_three_process_reduced(&o)),
+                ),
+                (
+                    "shift2_full",
+                    family(families::search_shift2_three_process_full(&o)),
+                ),
+            ];
+            let expected: Pinned = vec![
+                ("one_round", (1024, 0, 1360)),
+                ("shift1", (4096, 0, 5440)),
+                ("mpr1", (256, 0, 293)),
+                ("shift2_reduced", (162, 0, 162)),
+                ("shift2_full", (5832, 0, 6564)),
+            ];
+            assert_eq!(outcomes, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive sweep at four thread counts, about 12.5 s in release on two cores; run with --ignored"]
+    fn two_read_sweep_outcome_is_pinned_at_every_thread_count() {
+        for threads in [1, 2, 4, 8] {
+            let o = ExploreOptions::default().with_threads(threads);
+            let outcome = family(impossibility::search_two_read_protocols(&o));
+            assert_eq!(outcome, (768 * 768, 0, 675_072), "threads={threads}");
         }
     }
 }

@@ -1,29 +1,40 @@
 //! Golden table for the exhaustive explorer.
 //!
 //! A fixed corpus of systems is pushed through `explore`,
-//! `ConfigGraph::build`, `analyze_valency` and `check_crash_tolerance`,
-//! and every result is rendered into `tests/golden/explorer.txt`:
+//! `ConfigGraph::build`, `analyze_valency`, `check_crash_tolerance` and
+//! `find_violation`, and every result is rendered into
+//! `tests/golden/explorer.txt`:
 //!
 //! * the full `Exploration` `Debug` string, or the error;
 //! * the graph's node and edge counts, whether it has a cycle, and
 //!   FNV-1a digests of its `post_order` and of every node's
 //!   `(process, child)` list, in node order (small graphs are also
 //!   spelled out in full);
-//! * the valency and crash-tolerance reports.
+//! * the valency and crash-tolerance reports;
+//! * the first violating execution (schedule and decisions), `None`, or
+//!   the error.
 //!
 //! The corpus: the test-and-set race, the nondeterministic one-use-bit
-//! DEAD read, the write-totals system, `cas_announce` at two and three
-//! processes on every input vector, the five register protocols of
-//! experiment E8, a spin loop (not wait-free), a malformed program, and
-//! configs and depth budget trips at 1, 2 and 4 threads on a four-process
-//! `cas_announce` graph whose levels are wide enough for the parallel
-//! level path.
+//! DEAD read (also against a validity set it can break), the
+//! write-totals system, `cas_announce` at two and three processes on
+//! every input vector (at three also against each single allowed
+//! value), a three-process register race on every input vector, the
+//! five register protocols of experiment E8, a spin loop (not
+//! wait-free), a malformed program, and configs and depth budget trips
+//! at 1, 2 and 4 threads on a four-process `cas_announce` graph whose
+//! levels are wide enough for the parallel level path.
 //!
-//! The table was recorded on the heap-allocated `Config` explorer that
-//! the packed-row explorer replaced, so it shows that both number nodes,
-//! order edges, choose errors and trip budgets the same way. A change
-//! that moves a line here changes what the explorer computes and must
-//! say why.
+//! The explorer rows were recorded on the heap-allocated `Config`
+//! explorer that the packed-row explorer replaced, so they show that
+//! both number nodes, order edges, choose errors and trip budgets the
+//! same way. The violation rows were recorded on the search that walked
+//! the execution tree path by path, before the interned depth-first
+//! search replaced it; they agree on every violation. Two error rows
+//! moved on purpose: the spin loop is a cycle, now `NotWaitFree` where
+//! the tree walk ran into its configs budget, and the malformed system
+//! now reports `explore`'s error (the least by `Debug` string) where the
+//! tree walk reported the first process it stepped. A change that moves
+//! a line here changes what the explorer computes and must say why.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -35,7 +46,7 @@ use explorer::bivalence::analyze_valency;
 use explorer::crash::check_crash_tolerance;
 use explorer::graph::ConfigGraph;
 use explorer::program::{BinOp, Operand, ProgramBuilder};
-use explorer::{explore, ExploreOptions, ObjectInstance, System};
+use explorer::{explore, find_violation, ExploreOptions, ObjectInstance, System};
 use spec::canonical;
 
 const GOLDEN: &str = include_str!("golden/explorer.txt");
@@ -99,6 +110,11 @@ fn render_case(out: &mut String, name: &str, sys: &System, allowed: &[i64], opts
         out,
         "  crash {}",
         debug_or_err(&check_crash_tolerance(sys, allowed, opts))
+    );
+    let _ = writeln!(
+        out,
+        "  violation {}",
+        debug_or_err(&find_violation(sys, allowed, opts))
     );
 }
 
@@ -186,6 +202,31 @@ fn spin_loop() -> System {
     System::new(vec![obj], vec![b.build().unwrap()])
 }
 
+/// Each process writes its input to one shared register, reads it back
+/// and decides what it read: agreement fails on every mixed input
+/// vector, by a schedule that interleaves the writes and the reads.
+fn register_race(inputs: &[bool]) -> System {
+    let n = inputs.len();
+    let reg = Arc::new(canonical::boolean_register(n));
+    let init = reg.state_id("v0").unwrap();
+    let read = reg.invocation_id("read").unwrap().index() as i64;
+    let obj = ObjectInstance::identity_ports(Arc::clone(&reg), init, n);
+    let programs = inputs
+        .iter()
+        .map(|&input| {
+            let write = if input { "write1" } else { "write0" };
+            let write = reg.invocation_id(write).unwrap().index() as i64;
+            let mut b = ProgramBuilder::new();
+            let r = b.var("r");
+            b.invoke(0_i64, write, None);
+            b.invoke(0_i64, read, Some(r));
+            b.ret(r);
+            b.build().unwrap()
+        })
+        .collect();
+    System::new(vec![obj], programs)
+}
+
 /// Two broken processes on one register: process 0 reads and then
 /// divides by zero, process 1 invokes an object that does not exist.
 /// Both errors surface on the first level, so the level's deterministic
@@ -238,8 +279,18 @@ fn table() -> String {
     let mut out = String::new();
     render_case(&mut out, "tas_race", &tas_race(), &[0, 1], &opts);
     render_case(&mut out, "dead_read", &dead_read(), &[0, 1], &opts);
+    // Only 1 is a valid decision here: the DEAD read may answer 0.
+    render_case(&mut out, "dead_read/allowed=1", &dead_read(), &[1], &opts);
     render_case(&mut out, "write_totals", &write_totals(), &[0, 1], &opts);
-    render_case(&mut out, "spin_loop", &spin_loop(), &[0, 1], &opts);
+    // A small budget: the spin loop has one configuration, and a search
+    // that does not notice the cycle walks it until the budget trips.
+    render_case(
+        &mut out,
+        "spin_loop",
+        &spin_loop(),
+        &[0, 1],
+        &opts.with_max_configs(100),
+    );
     render_case(&mut out, "malformed", &malformed(), &[0, 1], &opts);
     for n in [2, 3] {
         for inputs in binary_input_vectors(n) {
@@ -247,6 +298,25 @@ fn table() -> String {
             let sys = cas_announce_consensus_system(&inputs).system;
             render_case(&mut out, &name, &sys, &[0, 1], &opts);
         }
+    }
+    // Validity against one value only: the search passes terminals that
+    // decide the allowed value and shared subtrees before the first one
+    // that does not.
+    for inputs in binary_input_vectors(3) {
+        let sys = cas_announce_consensus_system(&inputs).system;
+        for allowed in [0, 1] {
+            let _ = writeln!(
+                out,
+                "case cas_announce/{}/allowed={allowed}",
+                label(&inputs)
+            );
+            let r = find_violation(&sys, &[allowed], &opts);
+            let _ = writeln!(out, "  violation {}", debug_or_err(&r));
+        }
+    }
+    for inputs in binary_input_vectors(3) {
+        let name = format!("register_race/{}", label(&inputs));
+        render_case(&mut out, &name, &register_race(&inputs), &[0, 1], &opts);
     }
     for (name, build) in register_protocols() {
         for inputs in binary_input_vectors(2) {
