@@ -14,28 +14,10 @@
 
 use std::collections::BTreeSet;
 
+use wfc_spec::prng::SplitMix64;
+
 use crate::error::ExplorerError;
 use crate::system::System;
-
-/// A tiny deterministic xorshift generator — enough adversary for
-/// schedule sampling without pulling an RNG dependency into the checker.
-#[derive(Clone, Debug)]
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// Statistics from a sampling run.
 #[derive(Clone, Debug)]
@@ -82,7 +64,7 @@ pub fn sample_executions(
     max_steps: usize,
     seed: u64,
 ) -> Result<SampleStats, ExplorerError> {
-    let mut rng = XorShift(seed.max(1));
+    let mut rng = SplitMix64::new(seed);
     let mut stats = SampleStats {
         executions: 0,
         decisions: BTreeSet::new(),
@@ -109,11 +91,11 @@ pub fn sample_executions(
             let undecided: Vec<usize> = (0..system.processes())
                 .filter(|&p| cfg.decided(p).is_none())
                 .collect();
-            let p = undecided[rng.below(undecided.len())];
+            let p = undecided[rng.gen_range(0, undecided.len())];
             children.clear();
             let n = system.step_into(cfg.row(), p, &mut children)?;
             debug_assert!(n > 0, "undecided process can step");
-            let pick = rng.below(n);
+            let pick = rng.gen_range(0, n);
             cfg.row
                 .copy_from_slice(&children[pick * width..(pick + 1) * width]);
             steps += 1;

@@ -19,10 +19,9 @@
 //!   single-flight deduplication.
 //! * [`server`] — a readiness-driven frontend (one IO thread
 //!   multiplexing every socket over a std-only `poll(2)` wrapper, so
-//!   idle connections cost zero threads), a batching/coalescing layer
-//!   ([`BatchConfig`]) in front of a bounded entry queue with explicit
-//!   backpressure, a fixed worker pool, and a deadline reaper driving
-//!   the unified control plane
+//!   idle connections cost zero threads), a bounded job queue (one job
+//!   per request) with explicit backpressure, a fixed worker pool, and
+//!   a deadline reaper driving the unified control plane
 //!   ([`wfc_spec::control`](wfc_spec::control)) — every query kind,
 //!   sched included, cancels mid-run and answers `deadline-exceeded`
 //!   with partial progress.
@@ -64,12 +63,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod batch;
 pub mod cache;
 pub mod client;
 mod conn;
 pub mod loadgen;
 mod poller;
+mod queue;
 pub mod repl_link;
 pub mod scenario;
 pub mod server;
@@ -81,7 +80,6 @@ pub use analysis::{
     run_query_text, run_query_text_with, run_query_with_protocol, run_sched, run_sched_with,
     QueryError,
 };
-pub use batch::BatchConfig;
 pub use cache::{
     cache_key, scenario_cache_key, sched_cache_key, validate_cache_json, CacheOutcome, ResultCache,
     CACHE_SCHEMA,

@@ -20,7 +20,7 @@
 //!
 //! Mixes default to cache-friendly query sets (each unique query is
 //! warmed once before timing), so the numbers characterize the
-//! frontend, batching, and cache layers rather than explorer search.
+//! frontend, queue, and cache layers rather than explorer search.
 //!
 //! The emitted document carries two sections: `service_loadgen` (the
 //! full per-mix numbers: counts, throughput, p50/p95/p99/max) and a
@@ -203,8 +203,8 @@ fn scrape_stages(addr: &str) -> Option<StageSnapshot> {
 /// Reduces two scrapes to the per-stage aggregates of the window
 /// between them, in pipeline order (`decode` … `flush`, then `total`).
 fn diff_breakdown(before: &StageSnapshot, after: &StageSnapshot) -> Vec<StageBreakdown> {
-    const ORDER: [&str; 8] = [
-        "decode", "admit", "batch", "queue", "engine", "respond", "flush", "total",
+    const ORDER: [&str; 7] = [
+        "decode", "admit", "queue", "engine", "respond", "flush", "total",
     ];
     let mut out = Vec::new();
     for stage in ORDER {

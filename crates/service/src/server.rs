@@ -11,16 +11,15 @@
 //!   cost zero threads and no worker ever blocks on a slow socket.
 //!   This is the paper's own posture applied to the frontend: no
 //!   participant waits on another, progress rides on readiness;
-//! * a **batching/coalescing layer** ([`crate::batch`]) between the IO
-//!   loop and the workers: syntactically identical in-flight queries
-//!   collapse onto one pending entry (answered from a single
-//!   computation), and distinct entries arriving together are
-//!   dispatched as one batch under [`BatchConfig`]. When the entry
-//!   queue is full the request is rejected *immediately* with a `busy`
-//!   response carrying the observed entry depth and the configured
-//!   capacity (explicit backpressure, never unbounded buffering);
-//! * a **fixed worker pool** draining batches through the
-//!   [`ResultCache`] (memory → disk → single-flight → compute);
+//! * a **bounded job queue** ([`crate::queue`]) between the IO loop and
+//!   the workers: each admitted request is one job, answered alone by
+//!   one worker. When the queue is full the request is rejected
+//!   *immediately* with a `busy` response carrying the observed depth
+//!   and the configured capacity (explicit backpressure, never
+//!   unbounded buffering);
+//! * a **fixed worker pool** draining jobs through the [`ResultCache`]
+//!   (memory → disk → single-flight → compute), whose single-flight is
+//!   the one place identical in-flight queries are deduplicated;
 //!   workers queue rendered response frames on the owning connection
 //!   and nudge the IO thread through a self-pipe waker;
 //! * per-connection **pipelining**: responses are matched to requests
@@ -64,10 +63,10 @@ use crate::analysis::{
 };
 use wfc_spec::stage::Stage;
 
-use crate::batch::{BatchConfig, Batcher, Entry, JobQueue, Submit};
 use crate::cache::{cache_key, scenario_cache_key, sched_cache_key, CacheOutcome, ResultCache};
 use crate::conn::ConnShared;
 use crate::poller::{fd_of, wait, Readiness, Waker};
+use crate::queue::{Job, JobQueue};
 use crate::repl_link::{dialer_loop, disabled_status, ReplConfig, ReplRuntime, ReplShared};
 use crate::stats::{Disposition, IntroCtx, RequestTrace, TraceOutcome};
 use crate::wire::{write_frame, FrameBuffer, QueryKind, QueryOptions, Request, Response};
@@ -80,7 +79,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads computing queries.
     pub workers: usize,
-    /// Bounded entry-queue capacity; beyond it, requests get `busy`.
+    /// Bounded job-queue capacity in requests; beyond it, requests get
+    /// `busy`.
     pub queue_capacity: usize,
     /// In-memory result-cache capacity (entries).
     pub cache_capacity: usize,
@@ -94,8 +94,6 @@ pub struct ServeConfig {
     pub max_threads_limit: usize,
     /// Per-request wall-clock deadline; `None` disables the reaper.
     pub request_timeout: Option<Duration>,
-    /// Frontend batching/coalescing knobs.
-    pub batch: BatchConfig,
     /// Connections beyond this are answered `busy` and closed.
     pub max_connections: usize,
     /// Flight-recorder capacity in records; `0` disables the ring.
@@ -125,7 +123,6 @@ impl Default for ServeConfig {
             max_depth_limit: usize::MAX,
             max_threads_limit: 8,
             request_timeout: None,
-            batch: BatchConfig::default(),
             max_connections: 8192,
             flight_capacity: 256,
             anomaly_threshold: None,
@@ -478,7 +475,6 @@ fn io_loop(
     // own inline answers: stats, busy, bad-request, repl frames).
     crate::conn::register_producer(0);
     let mut conns: Vec<Conn> = Vec::new();
-    let mut batcher = Batcher::new(config.batch);
     let mut consecutive_accept_errors: u32 = 0;
     let mut accept_resume: Option<Instant> = None;
     let mut interests = Vec::new();
@@ -521,9 +517,6 @@ fn io_loop(
         }
 
         let mut timeout = Duration::from_millis(50);
-        if let Some(deadline) = batcher.next_deadline() {
-            timeout = timeout.min(deadline.saturating_duration_since(now));
-        }
         if let Some(resume) = accept_resume {
             timeout = timeout.min(resume.saturating_duration_since(now));
         }
@@ -583,8 +576,8 @@ fn io_loop(
             }
         }
 
-        // Drain readable connections into the batcher (peer frames are
-        // routed to the replication node inside the decode path).
+        // Drain readable connections into the job queue (peer frames
+        // are routed to the replication node inside the decode path).
         for (i, conn) in conns.iter_mut().enumerate() {
             let readiness = ready.get(i + 2).copied().unwrap_or_default();
             if conn.closing {
@@ -594,11 +587,9 @@ fn io_loop(
                 continue;
             }
             if readiness.readable {
-                read_connection(conn, &mut read_buf, &mut batcher, queue, intro, &mut repl);
+                read_connection(conn, &mut read_buf, queue, intro, &mut repl);
             }
         }
-
-        batcher.flush_due(queue, Instant::now());
 
         // Push queued response bytes to whoever can take them. New
         // output is try-written immediately; a connection whose last
@@ -689,9 +680,8 @@ fn io_loop(
         });
     }
 
-    // Shutdown: hand any straggling entries to the draining workers,
-    // then drop every socket (peers see EOF).
-    batcher.flush_all(queue);
+    // Shutdown: drop every socket (peers see EOF); the workers drain
+    // whatever is still queued.
     for conn in &conns {
         for trace in conn.shared.take_pending_traces() {
             intro.finalize_dropped(trace);
@@ -720,11 +710,10 @@ fn reject_connection(stream: TcpStream, open: usize, limit: usize) {
 }
 
 /// Reads until the socket is drained (or the fairness cap), feeding
-/// bytes through the frame assembler into the batcher.
+/// bytes through the frame assembler into the job queue.
 fn read_connection(
     conn: &mut Conn,
     read_buf: &mut [u8],
-    batcher: &mut Batcher,
     queue: &JobQueue,
     intro: &Arc<IntroCtx>,
     repl: &mut Option<ReplRuntime>,
@@ -742,7 +731,7 @@ fn read_connection(
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&read_buf[..n]);
                 total += n;
-                decode_frames(conn, batcher, queue, intro, accepted, repl);
+                decode_frames(conn, queue, intro, accepted, repl);
                 if conn.closing || conn.dead {
                     return;
                 }
@@ -766,7 +755,6 @@ fn read_connection(
 /// past that point.
 fn decode_frames(
     conn: &mut Conn,
-    batcher: &mut Batcher,
     queue: &JobQueue,
     intro: &Arc<IntroCtx>,
     accepted: Instant,
@@ -779,15 +767,9 @@ fn decode_frames(
                 // clients; the `proto` field is the fork in the road.
                 handle_repl_frame(&conn.shared, &doc, repl);
             }
-            Ok(Some(doc)) => handle_request(
-                &doc,
-                &conn.shared,
-                batcher,
-                queue,
-                intro,
-                accepted,
-                repl.as_ref(),
-            ),
+            Ok(Some(doc)) => {
+                handle_request(&doc, &conn.shared, queue, intro, accepted, repl.as_ref())
+            }
             Ok(None) => return,
             Err(e) => {
                 conn.shared
@@ -833,11 +815,9 @@ fn bad_request(id: u64, message: &str) -> Response {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the server's fixed wiring
 fn handle_request(
     doc: &Json,
     conn: &Arc<ConnShared>,
-    batcher: &mut Batcher,
     queue: &JobQueue,
     intro: &Arc<IntroCtx>,
     accepted: Instant,
@@ -861,14 +841,14 @@ fn handle_request(
     }
 
     // `stats` is answered right here on the IO thread — structurally
-    // exempt from caching, coalescing, batching, and the job queue, so
+    // exempt from caching, single-flight, and the job queue, so
     // introspection works even when every worker is wedged and the
     // queue is refusing real work.
     if request.kind == QueryKind::Stats {
         if let Some(t) = &mut trace {
             t.stamp(Stage::EngineStart);
         }
-        let mut result = intro.build_stats(queue, batcher.open_len());
+        let mut result = intro.build_stats(queue);
         if let (Some(r), Json::Obj(fields)) = (repl, &mut result) {
             fields.push(("repl".to_owned(), r.stats_section()));
         }
@@ -887,23 +867,23 @@ fn handle_request(
         return;
     }
 
-    match batcher.submit(request, conn, queue, Instant::now(), &mut trace) {
-        Submit::Coalesced => {
-            wfc_obs::counter!("service.batch.coalesced");
+    let job = Job {
+        request,
+        conn: Arc::clone(conn),
+        trace,
+    };
+    if let Err((job, used)) = queue.try_push(job) {
+        wfc_obs::counter!("service.responses.busy");
+        let mut trace = job.trace;
+        if let Some(t) = &mut trace {
+            t.outcome = TraceOutcome::Busy;
         }
-        Submit::Accepted => {}
-        Submit::Rejected { used } => {
-            wfc_obs::counter!("service.responses.busy");
-            if let Some(t) = &mut trace {
-                t.outcome = TraceOutcome::Busy;
-            }
-            let busy = Response::Busy {
-                id,
-                used: used as u64,
-                budget: queue.capacity() as u64,
-            };
-            enqueue_traced(conn, intro, &busy.to_json(), trace);
-        }
+        let busy = Response::Busy {
+            id,
+            used: used as u64,
+            budget: queue.capacity() as u64,
+        };
+        enqueue_traced(conn, intro, &busy.to_json(), trace);
     }
 }
 
@@ -941,22 +921,19 @@ fn worker_loop(
     // Worker `idx` produces on ring slot `idx + 1` of every connection
     // (slot 0 is the IO thread's).
     crate::conn::register_producer(idx + 1);
-    while let Some(batch) = queue.pop() {
-        for entry in batch {
-            compute_entry(
-                &entry, idx, cache, gate, waker, inflight, intro, cancel, config, repl,
-            );
-        }
+    while let Some(job) = queue.pop() {
+        compute_job(
+            job, idx, cache, gate, waker, inflight, intro, cancel, config, repl,
+        );
     }
 }
 
-/// Computes one entry and fans the result out to every coalesced
-/// respondent. The leader (first respondent) reports the cache's
-/// verdict on `cached`; followers were answered without a computation
-/// of their own, so they are `cached` by construction.
+/// Computes one job through the cache and answers its requester.
+/// `cached` is the cache's verdict: a memory or disk hit, or a wait on
+/// another worker's identical in-flight computation (single-flight).
 #[allow(clippy::too_many_arguments)] // mirrors the server's fixed wiring
-fn compute_entry(
-    entry: &Entry,
+fn compute_job(
+    job: Job,
     idx: usize,
     cache: &ResultCache,
     gate: &WorkerGate,
@@ -967,18 +944,17 @@ fn compute_entry(
     config: &ServeConfig,
     repl: Option<&ReplShared>,
 ) {
-    let mut respondents = entry.begin();
-    if respondents.is_empty() {
-        return;
-    }
+    let Job {
+        request,
+        conn,
+        mut trace,
+    } = job;
     let _flight = intro.enter_flight();
     let started = Instant::now();
-    for respondent in &mut respondents {
-        if let Some(trace) = &mut respondent.trace {
-            // Before the gate, matching the deadline: time a test
-            // spends holding the worker counts as engine time.
-            trace.stamp(Stage::EngineStart);
-        }
+    if let Some(trace) = &mut trace {
+        // Before the gate, matching the deadline: time a test spends
+        // holding the worker counts as engine time.
+        trace.stamp(Stage::EngineStart);
     }
     cancel.store(false, Ordering::SeqCst);
     // Arm the deadline — and the in-engine wall clock — before
@@ -989,28 +965,28 @@ fn compute_entry(
     let wall = config.request_timeout.map(Wall::expires_in);
     gate.pass();
 
-    let options = clamp_options(&entry.options, config);
+    let options = clamp_options(&request.options, config);
     let token = CancelToken::new(cancel);
     // The cache key and type name ride along with the result so a
     // freshly computed entry can be handed to replication verbatim.
     type Computed = (Arc<Json>, CacheOutcome, wfc_spec::hash::Hash128, String);
-    let outcome: Result<Computed, QueryError> = if entry.kind == QueryKind::Sched {
+    let outcome: Result<Computed, QueryError> = if request.kind == QueryKind::Sched {
         // A sched request carries a fixture spec, not a type, and its
         // budgets live inside the spec — the canonical rendering is
         // the whole cache identity. The request deadline rides along
         // out-of-band (cancel token + wall clock, polled at schedule
         // boundaries) and is deliberately *not* part of the key:
         // control signals never change a completed query's document.
-        parse_sched_spec(&entry.type_text).and_then(|spec| {
+        parse_sched_spec(&request.type_text).and_then(|spec| {
             let key = sched_cache_key(&spec.canonical_text());
             cache
-                .get_or_compute(key, entry.kind, &spec.target, || {
+                .get_or_compute(key, request.kind, &spec.target, || {
                     run_sched_with(&spec, token, wall)
                 })
                 .map(|(value, how)| (value, how, key, spec.target.clone()))
                 .map_err(|e| as_deadline(e, started, config))
         })
-    } else if entry.kind == QueryKind::Scenario {
+    } else if request.kind == QueryKind::Scenario {
         // A scenario request carries a whole scenario file. Its cache
         // identity is the canonical text — respelled but canonically
         // equal files share a cache line, exactly like sched specs.
@@ -1020,25 +996,25 @@ fn compute_entry(
         // (which is part of the canonical text, hence of the key).
         // Threads ride along — they never change result bytes.
         let scenario_options = QueryOptions::default().with_threads(options.threads);
-        wfc_scenario::parse_scenario(&entry.type_text)
+        wfc_scenario::parse_scenario(&request.type_text)
             .map_err(|e| QueryError::Parse(e.to_string()))
             .and_then(|sc| {
                 let key = scenario_cache_key(&sc.canonical_text());
                 cache
-                    .get_or_compute(key, entry.kind, &sc.name, || {
+                    .get_or_compute(key, request.kind, &sc.name, || {
                         crate::scenario::run_scenario_with(&sc, &scenario_options, token, wall)
                     })
                     .map(|(value, how)| (value, how, key, sc.name.clone()))
                     .map_err(|e| as_deadline(e, started, config))
             })
     } else {
-        parse_query_type(&entry.type_text).and_then(|ty| {
-            let key = cache_key(entry.kind, &ty, &options);
+        parse_query_type(&request.type_text).and_then(|ty| {
+            let key = cache_key(request.kind, &ty, &options);
             let mut opts = explore_options(&options).with_cancel(token);
             opts.budget.wall = wall;
             cache
-                .get_or_compute(key, entry.kind, ty.name(), || {
-                    run_query(entry.kind, &ty, &opts)
+                .get_or_compute(key, request.kind, ty.name(), || {
+                    run_query(request.kind, &ty, &opts)
                 })
                 .map(|(value, how)| (value, how, key, ty.name().to_owned()))
                 .map_err(|e| as_deadline(e, started, config))
@@ -1053,7 +1029,7 @@ fn compute_entry(
     if let (Some(repl), Ok((value, CacheOutcome::Computed, key, type_name))) = (repl, &outcome) {
         repl.submit.lock().unwrap().push(wfc_repl::Entry {
             key: key.to_hex(),
-            kind: entry.kind.as_str().to_owned(),
+            kind: request.kind.as_str().to_owned(),
             type_name: type_name.clone(),
             result: (**value).clone(),
         });
@@ -1061,55 +1037,42 @@ fn compute_entry(
         // submit queue too.
     }
 
-    let obs = wfc_obs::enabled();
-    let deadline_exceeded = matches!(&outcome, Err(e) if e.code() == "deadline-exceeded");
-    for (i, mut respondent) in respondents.into_iter().enumerate() {
-        let response = match &outcome {
-            Ok((value, how, ..)) => Response::Ok {
-                id: respondent.id,
-                cached: how.is_cached() || i > 0,
-                result: (**value).clone(),
-            },
-            Err(e) => error_response(respondent.id, e),
+    let response = match &outcome {
+        Ok((value, how, ..)) => Response::Ok {
+            id: request.id,
+            cached: how.is_cached(),
+            result: (**value).clone(),
+        },
+        Err(e) => error_response(request.id, e),
+    };
+    if wfc_obs::enabled() {
+        let name = match &response {
+            Response::Ok { .. } => "service.responses.ok",
+            _ => "service.responses.error",
         };
-        if obs {
-            let name = match &response {
-                Response::Ok { .. } => "service.responses.ok",
-                _ => "service.responses.error",
-            };
-            wfc_obs::metrics::Registry::global().counter(name).add(1);
-            wfc_obs::metrics::Registry::global()
-                .histogram(&format!("service.latency_us.{}", entry.kind))
-                .record(started.elapsed().as_micros() as u64);
+        wfc_obs::metrics::Registry::global().counter(name).add(1);
+        wfc_obs::metrics::Registry::global()
+            .histogram(&format!("service.latency_us.{}", request.kind))
+            .record(started.elapsed().as_micros() as u64);
+    }
+    if let Some(trace) = &mut trace {
+        trace.stamp(Stage::EngineDone);
+        trace.disposition = match &outcome {
+            Ok((_, how, ..)) => Disposition::from(*how),
+            Err(_) => Disposition::Fresh,
+        };
+        trace.outcome = match &response {
+            Response::Ok { .. } => TraceOutcome::Ok,
+            _ => TraceOutcome::Error,
+        };
+        trace.deadline_exceeded = matches!(&outcome, Err(e) if e.code() == "deadline-exceeded");
+    }
+    if conn.is_closed() {
+        if let Some(trace) = trace {
+            intro.finalize_dropped(*trace);
         }
-        if let Some(trace) = &mut respondent.trace {
-            trace.stamp(Stage::EngineDone);
-            trace.disposition = match &outcome {
-                _ if i > 0 => Disposition::Coalesced,
-                Ok((_, how, ..)) if how.is_cached() => Disposition::CacheHit,
-                _ => Disposition::Fresh,
-            };
-            trace.outcome = match &response {
-                Response::Ok { .. } => TraceOutcome::Ok,
-                _ => TraceOutcome::Error,
-            };
-            trace.deadline_exceeded = deadline_exceeded;
-        }
-        if respondent.conn.is_closed() {
-            if let Some(trace) = respondent.trace.take() {
-                intro.finalize_dropped(*trace);
-            }
-        } else {
-            let doc = response.to_json();
-            match respondent.trace.take() {
-                Some(trace) => {
-                    if let Some(returned) = respondent.conn.enqueue_json_traced(&doc, trace) {
-                        intro.finalize_dropped(*returned);
-                    }
-                }
-                None => respondent.conn.enqueue_json(&doc),
-            }
-        }
+    } else {
+        enqueue_traced(&conn, intro, &response.to_json(), trace);
     }
     waker.wake();
 }

@@ -9,10 +9,10 @@
 //! [`Stage`](wfc_spec::stage::Stage) it crosses, all measured from one
 //! monotonic origin (the instant its bytes began arriving), so the
 //! stamps are monotone by construction. The trace travels *with* the
-//! request — IO thread → batcher → worker → back to the IO thread on
+//! request — IO thread → job queue → worker → back to the IO thread on
 //! the response path — and is finalized exactly once, when the last
 //! response byte leaves the socket (or the request is dropped). A
-//! finalized trace feeds the seven telescoping
+//! finalized trace feeds the six telescoping
 //! `service.stage.<interval>_us` histograms and one packed record into
 //! the flight recorder.
 //!
@@ -24,12 +24,12 @@
 //! ## The `stats` snapshot
 //!
 //! A `stats` request is answered **inline on the IO thread**, before
-//! the batcher ever sees it — it is structurally exempt from caching,
-//! coalescing, batching, and queueing, so it works even when the queue
-//! is saturated and every worker is wedged. The snapshot reads the
-//! metrics registry non-destructively and the flight ring wait-free;
-//! it never blocks the writers it observes (the module-level rationale
-//! in [`wfc_obs::flight`]).
+//! it could reach the job queue — it is structurally exempt from
+//! caching and queueing, so it works even when the queue is saturated
+//! and every worker is wedged. The snapshot reads the metrics registry
+//! non-destructively and the flight ring wait-free; it never blocks
+//! the writers it observes (the module-level rationale in
+//! [`wfc_obs::flight`]).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,7 +40,8 @@ use wfc_obs::json::Json;
 use wfc_obs::metrics::{HistogramSnapshot, Registry};
 use wfc_spec::stage::{Interval, Stage};
 
-use crate::batch::JobQueue;
+use crate::cache::CacheOutcome;
+use crate::queue::JobQueue;
 use crate::server::ServeConfig;
 use crate::wire::QueryKind;
 
@@ -51,12 +52,11 @@ pub const STATS_SCHEMA: &str = "wfc-stats/v1";
 /// full ring capacity can be larger.
 const SNAPSHOT_FLIGHT_TAIL: usize = 32;
 
-/// Histogram names for the seven intervals, parallel to
+/// Histogram names for the six intervals, parallel to
 /// [`Interval::ALL`] (a lookup table so the hot path never formats).
-const INTERVAL_HIST: [&str; 7] = [
+const INTERVAL_HIST: [&str; 6] = [
     "service.stage.decode_us",
     "service.stage.admit_us",
-    "service.stage.batch_us",
     "service.stage.queue_us",
     "service.stage.engine_us",
     "service.stage.respond_us",
@@ -73,12 +73,24 @@ pub(crate) enum Disposition {
     Unknown = 0,
     /// Computed fresh by a worker.
     Fresh = 1,
-    /// Answered from another request's in-flight computation.
+    /// Waited on another request's identical in-flight computation
+    /// (the cache's single-flight).
     Coalesced = 2,
     /// Served from the result cache.
     CacheHit = 3,
     /// Answered inline on the IO thread (`stats` itself).
     Inline = 4,
+}
+
+impl From<CacheOutcome> for Disposition {
+    /// The cache's verdict on how a worker's result was obtained.
+    fn from(how: CacheOutcome) -> Disposition {
+        match how {
+            CacheOutcome::Memory | CacheOutcome::Disk => Disposition::CacheHit,
+            CacheOutcome::Coalesced => Disposition::Coalesced,
+            CacheOutcome::Computed => Disposition::Fresh,
+        }
+    }
 }
 
 impl Disposition {
@@ -158,6 +170,10 @@ fn anomaly_names(flags: u8) -> Vec<Json> {
     names
 }
 
+/// Stamp slots in a packed flight record (words 2–5, two per word);
+/// the seven stages fill the first seven.
+const STAMP_SLOTS: usize = 8;
+
 /// One in-flight request's stage stamps. Boxed and moved along the
 /// pipeline with the request; all stamps share one monotonic origin.
 #[derive(Debug)]
@@ -220,8 +236,9 @@ impl RequestTrace {
     /// Packs the finalized trace into one flight record. Layout:
     /// word 0 = trace seq; word 1 = metadata (kind code, disposition,
     /// outcome, anomaly flags, stamp set-mask in bytes 0–4); words
-    /// 2–5 = the eight stage stamps as `lo | hi << 32` pairs; word 6 =
-    /// total micros; word 7 = wire request id.
+    /// 2–5 = the seven stage stamps as `lo | hi << 32` pairs, the
+    /// eighth slot zero; word 6 = total micros; word 7 = wire request
+    /// id.
     fn pack(&self, anomaly: u8) -> [u64; RECORD_WORDS] {
         let kind_code = QueryKind::ALL
             .iter()
@@ -232,13 +249,15 @@ impl RequestTrace {
             | (self.outcome as u64) << 16
             | (anomaly as u64) << 24
             | (self.set as u64) << 32;
+        let mut s = [0u32; STAMP_SLOTS];
+        s[..Stage::ALL.len()].copy_from_slice(&self.stamps);
         [
             self.seq,
             meta,
-            self.stamps[0] as u64 | (self.stamps[1] as u64) << 32,
-            self.stamps[2] as u64 | (self.stamps[3] as u64) << 32,
-            self.stamps[4] as u64 | (self.stamps[5] as u64) << 32,
-            self.stamps[6] as u64 | (self.stamps[7] as u64) << 32,
+            s[0] as u64 | (s[1] as u64) << 32,
+            s[2] as u64 | (s[3] as u64) << 32,
+            s[4] as u64 | (s[5] as u64) << 32,
+            s[6] as u64 | (s[7] as u64) << 32,
             self.total_us(),
             self.request_id,
         ]
@@ -256,7 +275,7 @@ fn unpack_record(ticket: u64, words: &[u64; RECORD_WORDS]) -> Json {
     let outcome = TraceOutcome::from_code((meta >> 16) as u8);
     let anomaly = (meta >> 24) as u8;
     let set = (meta >> 32) as u8;
-    let mut stamps = [0u32; Stage::ALL.len()];
+    let mut stamps = [0u32; STAMP_SLOTS];
     for (pair, chunk) in words[2..6].iter().zip(stamps.chunks_mut(2)) {
         chunk[0] = *pair as u32;
         chunk[1] = (*pair >> 32) as u32;
@@ -384,7 +403,7 @@ impl IntroCtx {
     /// Builds the `wfc-stats/v1` snapshot. Called inline on the IO
     /// thread; reads the registry non-destructively (unlike
     /// `RunReport::collect`, which resets it) and the ring wait-free.
-    pub(crate) fn build_stats(&self, queue: &JobQueue, open_entries: usize) -> Json {
+    pub(crate) fn build_stats(&self, queue: &JobQueue) -> Json {
         let snapshot = Registry::global().snapshot();
         let server = Json::obj(vec![
             ("workers", Json::U64(self.workers as u64)),
@@ -395,7 +414,6 @@ impl IntroCtx {
             ("max_connections", Json::U64(self.max_connections as u64)),
             ("queue_depth", Json::U64(queue.depth() as u64)),
             ("queue_capacity", Json::U64(queue.capacity() as u64)),
-            ("batch_open_entries", Json::U64(open_entries as u64)),
             (
                 "inflight",
                 Json::U64(self.inflight.load(Ordering::Relaxed) as u64),
@@ -590,7 +608,6 @@ pub fn validate_stats_json(doc: &Json) -> Result<(), String> {
         "max_connections",
         "queue_depth",
         "queue_capacity",
-        "batch_open_entries",
         "inflight",
         "requests_accepted",
     ] {
@@ -742,6 +759,15 @@ mod tests {
     }
 
     #[test]
+    fn single_flight_waits_are_coalesced_and_tier_hits_cache_hits() {
+        let of = |how| Disposition::from(how).as_str();
+        assert_eq!(of(CacheOutcome::Coalesced), "coalesced");
+        assert_eq!(of(CacheOutcome::Memory), "cache-hit");
+        assert_eq!(of(CacheOutcome::Disk), "cache-hit");
+        assert_eq!(of(CacheOutcome::Computed), "fresh");
+    }
+
+    #[test]
     fn traces_pack_and_unpack_without_loss() {
         let accepted = Instant::now() - Duration::from_micros(500);
         let mut trace = RequestTrace::new(7, 42, QueryKind::Witness, accepted);
@@ -813,16 +839,12 @@ mod tests {
         trace.outcome = TraceOutcome::Ok;
         ctx.finalize(&trace);
 
-        let doc = ctx.build_stats(&queue, 2);
+        let doc = ctx.build_stats(&queue);
         validate_stats_json(&doc).expect("snapshot must validate");
         let server = doc.get("server").unwrap();
         assert_eq!(
             server.get("requests_accepted").and_then(Json::as_u64),
             Some(1)
-        );
-        assert_eq!(
-            server.get("batch_open_entries").and_then(Json::as_u64),
-            Some(2)
         );
         let flight = doc.get("flight").unwrap();
         assert_eq!(flight.get("recorded").and_then(Json::as_u64), Some(1));
@@ -853,7 +875,7 @@ mod tests {
             "tracing must be off with obs off"
         );
         let queue = JobQueue::new(4);
-        let doc = ctx.build_stats(&queue, 0);
+        let doc = ctx.build_stats(&queue);
         validate_stats_json(&doc).expect("disabled snapshot still validates");
         let flight = doc.get("flight").unwrap();
         assert_eq!(
@@ -890,7 +912,6 @@ mod tests {
                     ("max_connections", Json::U64(1)),
                     ("queue_depth", Json::U64(0)),
                     ("queue_capacity", Json::U64(1)),
-                    ("batch_open_entries", Json::U64(0)),
                     ("inflight", Json::U64(0)),
                     ("requests_accepted", Json::U64(0)),
                     ("obs_enabled", Json::Bool(true)),

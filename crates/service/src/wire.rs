@@ -231,10 +231,9 @@ pub enum QueryKind {
     /// canonically equal files share a cache line.
     Scenario,
     /// Live server introspection: a `wfc-stats/v1` snapshot of registry
-    /// metrics, per-stage latency histograms, connection/worker/batch
+    /// metrics, per-stage latency histograms, connection/worker/queue
     /// state and the flight-recorder tail. Answered inline on the IO
-    /// thread — never cached, batched, or coalesced; the `type` field
-    /// is ignored.
+    /// thread — never cached or queued; the `type` field is ignored.
     Stats,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! A served request passes through a fixed pipeline; each [`Stage`] is
 //! one monotonic-clock stamp taken as the request crosses that point.
-//! Consecutive stamps delimit the seven derived [`Interval`]s — the
+//! Consecutive stamps delimit the six derived [`Interval`]s — the
 //! quantities the service aggregates into `service.stage.<name>_us`
 //! histograms and reports per request from the flight recorder. The
 //! intervals telescope: summed, they reconstruct the accepted→flushed
@@ -23,30 +23,25 @@ pub enum Stage {
     Accepted = 0,
     /// The length-prefixed frame fully decoded into a request.
     Decoded = 1,
-    /// The request was admitted to the batcher (enqueued or attached
-    /// to an in-flight identical computation).
+    /// The request was admitted to the job queue.
     Enqueued = 2,
-    /// The batch containing the request was dispatched to the job
-    /// queue.
-    Dispatched = 3,
     /// A worker began computing (or resolved the result from cache).
-    EngineStart = 4,
+    EngineStart = 3,
     /// The computation (or cache lookup) produced its outcome.
-    EngineDone = 5,
+    EngineDone = 4,
     /// The response frame was serialized into the connection's output
     /// buffer.
-    ResponseEnqueued = 6,
+    ResponseEnqueued = 5,
     /// The last byte of the response frame left the process.
-    BytesFlushed = 7,
+    BytesFlushed = 6,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 7] = [
         Stage::Accepted,
         Stage::Decoded,
         Stage::Enqueued,
-        Stage::Dispatched,
         Stage::EngineStart,
         Stage::EngineDone,
         Stage::ResponseEnqueued,
@@ -64,7 +59,6 @@ impl Stage {
             Stage::Accepted => "accepted",
             Stage::Decoded => "decoded",
             Stage::Enqueued => "enqueued",
-            Stage::Dispatched => "dispatched",
             Stage::EngineStart => "engine-start",
             Stage::EngineDone => "engine-done",
             Stage::ResponseEnqueued => "response-enqueued",
@@ -91,10 +85,10 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// The seven telescoping intervals, in pipeline order: frame
-    /// decode, admission, batch/coalesce wait, queue wait, engine
-    /// time, response serialization, and write-back flush.
-    pub const ALL: [Interval; 7] = [
+    /// The six telescoping intervals, in pipeline order: frame
+    /// decode, admission, queue wait, engine time, response
+    /// serialization, and write-back flush.
+    pub const ALL: [Interval; 6] = [
         Interval {
             name: "decode",
             start: Stage::Accepted,
@@ -106,13 +100,8 @@ impl Interval {
             end: Stage::Enqueued,
         },
         Interval {
-            name: "batch",
-            start: Stage::Enqueued,
-            end: Stage::Dispatched,
-        },
-        Interval {
             name: "queue",
-            start: Stage::Dispatched,
+            start: Stage::Enqueued,
             end: Stage::EngineStart,
         },
         Interval {

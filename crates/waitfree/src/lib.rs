@@ -63,6 +63,9 @@ pub use triple::{triple_buffer, triple_buffer_each, TriplePublisher, TripleSubsc
 pub(crate) mod tests {
     /// The workspace's stock seeded generator, for deterministic pacing
     /// jitter in the hammer tests (mirrors the flight-recorder hammers).
+    /// A copy of `wfc_spec::prng::SplitMix64`, not a use of it: a
+    /// dev-dependency on `wfc-spec` would close the cycle
+    /// `wfc-spec → wfc-obs → wfc-waitfree`.
     pub(crate) struct SplitMix64(u64);
 
     impl SplitMix64 {

@@ -53,7 +53,7 @@ use wfc_spec::FiniteType;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--batch-size N] [--batch-delay-us N] [--batch-adaptive on|off]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs\n    --threads N           explorer workers"
+        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs\n    --threads N           explorer workers\n\n  Each subcommand accepts only the flags listed for it; any other flag\n  is an error."
     );
     ExitCode::from(2)
 }
@@ -200,16 +200,66 @@ fn cmd_type(name: &str) -> Result<(), Box<dyn Error>> {
     }
 }
 
-/// Pulls `--flag VALUE` pairs out of `args`, erroring on strays.
+/// The control-plane flags every analysis subcommand accepts (see
+/// [`ControlFlags`]).
+const CONTROL: &[&str] = &[
+    "--budget-configs",
+    "--max-configs",
+    "--budget-depth",
+    "--max-depth",
+    "--budget-schedules",
+    "--budget-steps",
+    "--timeout-ms",
+    "--threads",
+];
+
+/// The server-address flags of the subcommands that talk to a server
+/// with failover (see [`connect_cluster`]).
+const CLIENT: &[&str] = &["--addr", "--retries"];
+
+const SERVE: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue-capacity",
+    "--cache-capacity",
+    "--cache-dir",
+    "--timeout-ms",
+    "--max-connections",
+    "--flight-capacity",
+    "--anomaly-threshold-ms",
+    "--node-id",
+    "--data-dir",
+    "--peer",
+    "--compact-threshold",
+];
+
+const LOADGEN: &[&str] = &[
+    "--addr",
+    "--connections",
+    "--pipeline",
+    "--duration-ms",
+    "--rate",
+    "--mode",
+    "--out",
+];
+
+const TOP: &[&str] = &["--addr", "--interval-ms", "--iterations"];
+
+/// Pulls `--flag VALUE` pairs out of `args`, erroring on strays and on
+/// any flag outside the `accepted` groups — a misspelled budget must
+/// fail, not run unbounded.
 struct Flags(Vec<(String, String)>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, Box<dyn Error>> {
+    fn parse(args: &[String], accepted: &[&[&str]]) -> Result<Flags, Box<dyn Error>> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             if !flag.starts_with("--") {
                 return Err(format!("unexpected argument `{flag}`").into());
+            }
+            if !accepted.iter().any(|group| group.contains(&flag.as_str())) {
+                return Err(format!("unknown flag `{flag}`").into());
             }
             let value = it
                 .next()
@@ -317,7 +367,7 @@ impl ControlFlags {
 /// `access-bounds` / `theorem5`: the same engine the server workers
 /// run, printed as the canonical JSON document.
 fn cmd_direct_query(kind: QueryKind, path: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &[CONTROL])?;
     let control = ControlFlags::parse(&flags)?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let doc = wfc_service::run_query_text_with(
@@ -373,7 +423,7 @@ mod sig {
 }
 
 fn cmd_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &[SERVE])?;
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         addr: flags.get("--addr").unwrap_or("127.0.0.1:7414").to_owned(),
@@ -384,21 +434,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), Box<dyn Error>> {
         request_timeout: match flags.get_usize("--timeout-ms", 0)? {
             0 => None,
             ms => Some(Duration::from_millis(ms as u64)),
-        },
-        batch: wfc_service::BatchConfig {
-            max_batch_size: flags.get_usize("--batch-size", defaults.batch.max_batch_size)?,
-            max_batch_delay: Duration::from_micros(flags.get_usize(
-                "--batch-delay-us",
-                defaults.batch.max_batch_delay.as_micros() as usize,
-            )? as u64),
-            adaptive: match flags.get("--batch-adaptive") {
-                None => defaults.batch.adaptive,
-                Some("on") => true,
-                Some("off") => false,
-                Some(other) => {
-                    return Err(format!("--batch-adaptive wants on|off, got `{other}`").into())
-                }
-            },
         },
         max_connections: flags.get_usize("--max-connections", defaults.max_connections)?,
         flight_capacity: flags.get_usize("--flight-capacity", defaults.flight_capacity)?,
@@ -498,7 +533,7 @@ fn cmd_cluster_status(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         }
         None => false,
     };
-    let flags = Flags::parse(&rest)?;
+    let flags = Flags::parse(&rest, &[CLIENT])?;
     let mut client = connect_cluster(&flags, "wfc cluster-status")?;
     client.send_doc(&wfc_repl::msg::status_request(1))?;
     let reply = client.recv_doc()?;
@@ -554,7 +589,7 @@ fn cmd_cluster_status(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 fn cmd_loadgen(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     use wfc_service::loadgen::{self, Mode};
 
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &[LOADGEN])?;
     let addr = flags
         .get("--addr")
         .ok_or("`wfc loadgen` needs --addr HOST:PORT")?
@@ -626,13 +661,12 @@ fn render_stats(doc: &Json) -> String {
     );
     let _ = writeln!(
         out,
-        "workers {}   conns {}/{}   queue {}/{}   batch-open {}   inflight {}   accepted {}",
+        "workers {}   conns {}/{}   queue {}/{}   inflight {}   accepted {}",
         u(server, "workers"),
         u(server, "connections"),
         u(server, "max_connections"),
         u(server, "queue_depth"),
         u(server, "queue_capacity"),
-        u(server, "batch_open_entries"),
         u(server, "inflight"),
         u(server, "requests_accepted"),
     );
@@ -719,7 +753,7 @@ fn cmd_stats(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         }
         None => false,
     };
-    let flags = Flags::parse(&rest)?;
+    let flags = Flags::parse(&rest, &[CLIENT])?;
     let mut client = connect_cluster(&flags, "wfc stats")?;
     let doc = fetch_stats(&mut client)?;
     if json {
@@ -733,7 +767,7 @@ fn cmd_stats(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 /// `top`: refresh the `wfc stats` view in place until interrupted (or
 /// for `--iterations N` rounds, which is what CI uses).
 fn cmd_top(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &[TOP])?;
     let addr = flags
         .get("--addr")
         .ok_or("`wfc top` needs --addr HOST:PORT")?;
@@ -777,7 +811,7 @@ fn cmd_top(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 fn cmd_query(kind_name: &str, path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let kind =
         QueryKind::parse(kind_name).ok_or_else(|| format!("unknown query kind `{kind_name}`"))?;
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &[CONTROL, CLIENT])?;
     let control = ControlFlags::parse(&flags)?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     served_query(kind, &src, &control.options, &flags, "wfc query")
@@ -838,7 +872,7 @@ fn cmd_sched(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     if spec_words.is_empty() {
         return Err("`wfc sched` needs a target; try `wfc sched srsw` or see `wfc` usage".into());
     }
-    let flags = Flags::parse(flag_args)?;
+    let flags = Flags::parse(flag_args, &[CONTROL, CLIENT])?;
     let control = ControlFlags::parse(&flags)?;
     // Budget flags append `key=value` words; last key wins in the spec
     // grammar, so the flags override any in-line spelling.
@@ -997,7 +1031,12 @@ fn cmd_scenario(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         .position(|a| a.starts_with("--"))
         .unwrap_or(rest.len());
     let (paths, flag_args) = rest.split_at(split);
-    let flags = Flags::parse(flag_args)?;
+    let accepted: &[&[&str]] = match sub.as_str() {
+        "run" => &[CONTROL, CLIENT],
+        "check" => &[CONTROL],
+        _ => &[],
+    };
+    let flags = Flags::parse(flag_args, accepted)?;
     match sub.as_str() {
         "run" => match paths {
             [path] => cmd_scenario_run(path, &flags),

@@ -187,3 +187,37 @@ fn parse_errors_carry_line_numbers() {
     assert!(err.contains("line 2"), "{err}");
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn unknown_flags_fail_instead_of_being_ignored() {
+    let out = wfc(&["type", "test_and_set"]);
+    let path = write_temp("flags", &String::from_utf8(out.stdout).unwrap());
+    let path = path.to_str().unwrap();
+
+    // A misspelled budget must not run unbounded.
+    let out = wfc(&["access-bounds", path, "--budget-confgs", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag `--budget-confgs`"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+
+    // The correct spelling reaches the engine and trips the budget.
+    let out = wfc(&["access-bounds", path, "--budget-configs", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("budget of 1"), "{err}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn serve_rejects_an_unknown_flag_before_binding() {
+    // Hold the address: a server that tried to bind first would fail
+    // with "address in use" instead of naming the flag.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    let out = wfc(&["serve", "--addr", &addr, "--batch-size", "16"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag `--batch-size`"), "{err}");
+    assert!(out.stdout.is_empty(), "the server must not start: {err}");
+}

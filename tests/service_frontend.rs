@@ -2,8 +2,9 @@
 //! connection lifecycles must leak nothing (no per-connection threads,
 //! no stale handles), partial frames and stalled peers must not starve
 //! real clients, overflow connections must be told `busy` before they
-//! are closed, and identical pipelined requests must coalesce onto one
-//! computation.
+//! are closed, identical pipelined requests must coalesce onto one
+//! computation, and distinct requests arriving together must not queue
+//! behind each other on one worker.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -317,5 +318,56 @@ fn pipelined_identical_queries_coalesce_onto_one_computation() {
         renders.windows(2).all(|w| w[0] == w[1]),
         "coalesced responses must be byte-identical"
     );
+    handle.shutdown();
+}
+
+/// No head-of-line blocking: two distinct queries arriving in one
+/// segment are two jobs, so with two workers each is held by its own
+/// worker — neither waits behind the other while a worker sits idle.
+#[test]
+fn distinct_queries_in_one_segment_each_hold_their_own_worker() {
+    let gate = WorkerGate::new();
+    gate.close();
+    let handle = serve(ServeConfig {
+        workers: 2,
+        gate: Some(gate.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let tas = tas_text();
+    let mut bytes = Vec::new();
+    for (id, kind) in [(1u64, QueryKind::Classify), (2, QueryKind::Witness)] {
+        let request = Request {
+            id,
+            kind,
+            type_text: tas.clone(),
+            options: QueryOptions::default(),
+        };
+        write_frame(&mut bytes, &request.to_json()).unwrap();
+    }
+    stream.write_all(&bytes).unwrap();
+    wait_until("both workers to hold one query each", || gate.held() == 2);
+    gate.open();
+
+    // Both answers may arrive in one read, so decode frames off one
+    // buffer rather than one buffer per response.
+    let mut fb = FrameBuffer::new();
+    let mut buf = [0u8; 4096];
+    let mut ids = Vec::new();
+    while ids.len() < 2 {
+        if let Some(doc) = fb.next_frame().expect("well-formed frame") {
+            match Response::from_json(&doc).expect("valid response") {
+                Response::Ok { id, .. } => ids.push(id),
+                other => panic!("unexpected response {other:?}"),
+            }
+            continue;
+        }
+        let n = stream.read(&mut buf).expect("read response");
+        assert!(n > 0, "peer closed before both responses arrived");
+        fb.extend_from_slice(&buf[..n]);
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, vec![1, 2]);
     handle.shutdown();
 }

@@ -131,7 +131,7 @@ fn stats_snapshots_are_valid_distinct_and_fill_stage_histograms() {
     let mut interval_mean_sum = 0;
     let mut total_mean = 0;
     for name in [
-        "decode", "admit", "batch", "queue", "engine", "respond", "flush", "total",
+        "decode", "admit", "queue", "engine", "respond", "flush", "total",
     ] {
         let hist = stages
             .iter()
@@ -145,12 +145,12 @@ fn stats_snapshots_are_valid_distinct_and_fill_stage_histograms() {
             interval_mean_sum += u64_at(hist, &["mean"]);
         }
     }
-    // The seven intervals telescope over accepted → bytes-flushed, so
+    // The six intervals telescope over accepted → bytes-flushed, so
     // their means sum back to the total mean up to integer truncation
     // (≤ 1µs per interval) and the handful of in-flight traces that
     // appear in some histograms but not yet others.
     assert!(
-        interval_mean_sum <= total_mean + 7
+        interval_mean_sum <= total_mean + 6
             || interval_mean_sum.abs_diff(total_mean) * 5 <= total_mean,
         "interval means ({interval_mean_sum}µs) inconsistent with total mean ({total_mean}µs)"
     );
