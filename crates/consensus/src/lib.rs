@@ -9,9 +9,9 @@
 //!   [`queue_consensus_2`], [`sticky_consensus`].
 //! * spec protocols — the same protocols as model-checkable
 //!   `wfc-explorer` systems, with their register objects annotated for
-//!   the Theorem 5 eliminator, plus [`verify_consensus_protocol`], which
-//!   checks wait-freedom, agreement and validity over all `2^n` input
-//!   vectors and reports the paper's Section 4.2 depth bound `D`.
+//!   the Theorem 5 eliminator, plus [`explore_protocol`], one exploration
+//!   per input vector, and [`verify_consensus_protocol`], its verdict:
+//!   wait-freedom, agreement, validity and Section 4.2's depth bound `D`.
 //! * [`UniversalObject`] — Herlihy's universal construction
 //!   (Section 2.3): consensus objects + registers implement *any* finite
 //!   type, wait-free, via an agreed log with helping.
@@ -44,11 +44,11 @@ pub use native::{
     CasProposer, FetchAddProposer, Proposer, QueueProposer, StickyProposer, TasProposer,
 };
 pub use spec_protocols::{
-    binary_input_vectors, cas_announce_consensus_system, cas_consensus_system,
+    binary_input_vectors, cas_announce_consensus_system, cas_consensus_system, explore_protocol,
     fetch_add_consensus_system, mpr2_consensus_system, queue_consensus_system,
     shift2_consensus_system, stack_consensus_system, sticky_consensus_system,
     swap_consensus_system, tas_consensus_system, verify_consensus_protocol, ConsensusSystem,
-    ProtocolVerdict, SrswRegisterInfo,
+    ProtocolRuns, ProtocolTree, ProtocolVerdict, RegisterBounds, SrswRegisterInfo, TreeVerdict,
 };
 pub use universal::{UniversalHandle, UniversalObject};
 

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use wfc_explorer::program::{BinOp, ProgramBuilder, Var};
-use wfc_explorer::{explore, ExploreOptions, ExplorerError, ObjectInstance, System};
+use wfc_explorer::{explore, Exploration, ExploreOptions, ExplorerError, ObjectInstance, System};
 use wfc_spec::{canonical, PortId};
 
 /// Metadata for one single-reader single-writer boolean register object
@@ -729,6 +729,202 @@ impl ProtocolVerdict {
     pub fn holds(&self) -> bool {
         self.agreement && self.validity
     }
+
+    /// The verdict over trees given in lexicographic input order.
+    pub fn from_trees(trees: impl IntoIterator<Item = TreeVerdict>) -> Self {
+        let mut v = ProtocolVerdict {
+            depth_per_tree: Vec::new(),
+            d_max: 0,
+            total_configs: 0,
+            agreement: true,
+            validity: true,
+        };
+        for t in trees {
+            v.depth_per_tree.push(t.depth);
+            v.d_max = v.d_max.max(t.depth);
+            v.total_configs += t.configs;
+            v.agreement &= t.agreement;
+            v.validity &= t.validity;
+        }
+        v
+    }
+}
+
+/// What one explored execution tree contributes to a [`ProtocolVerdict`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeVerdict {
+    /// The tree's depth `d`.
+    pub depth: usize,
+    /// Its distinct configurations.
+    pub configs: usize,
+    /// `true` if every execution satisfied agreement.
+    pub agreement: bool,
+    /// `true` if every decision was one of the proposed inputs.
+    pub validity: bool,
+}
+
+impl TreeVerdict {
+    /// Reads the verdict off the exploration of the tree for `inputs`.
+    pub fn of(inputs: &[bool], e: &Exploration) -> TreeVerdict {
+        let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
+        TreeVerdict {
+            depth: e.depth,
+            configs: e.configs,
+            agreement: e.decisions_agree(),
+            validity: e.decisions_within(&allowed),
+        }
+    }
+}
+
+/// Read/write bounds for one register.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RegisterBounds {
+    /// The register's object index (within each per-vector system).
+    pub obj: usize,
+    /// `r_b`: the maximum number of reads in any execution.
+    pub reads: u32,
+    /// `w_b`: the maximum number of writes in any execution.
+    pub writes: u32,
+}
+
+/// One of a protocol's execution trees: the system built for one input
+/// vector and what its exhaustive exploration showed. The exploration
+/// itself is dropped on the thread that ran it.
+#[derive(Clone, Debug)]
+pub struct ProtocolTree {
+    /// The input vector, one bit per process.
+    pub inputs: Vec<bool>,
+    /// The system the builder returned for `inputs`.
+    pub system: ConsensusSystem,
+    /// The tree's verdict.
+    pub verdict: TreeVerdict,
+    /// The bounds of each of `system.registers`, in order, in this tree.
+    pub registers: Vec<RegisterBounds>,
+}
+
+/// All `2^n` execution trees of a consensus protocol, each built and
+/// explored exactly once, in lexicographic input order — the one pass
+/// that the verdict ([`ProtocolRuns::verdict`]), the Section 4.2 access
+/// bounds and Theorem 5's elimination (both in `wfc-core`) all read.
+#[derive(Clone, Debug)]
+pub struct ProtocolRuns {
+    n: usize,
+    trees: Vec<ProtocolTree>,
+}
+
+impl ProtocolRuns {
+    /// The process count.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The trees, in the order of [`binary_input_vectors`].
+    pub fn trees(&self) -> &[ProtocolTree] {
+        &self.trees
+    }
+
+    /// Agreement and validity over every tree, with the depths and
+    /// configuration totals.
+    pub fn verdict(&self) -> ProtocolVerdict {
+        ProtocolVerdict::from_trees(self.trees.iter().map(|t| t.verdict))
+    }
+
+    /// Applies `f` to every tree on the explorer pool, under the same
+    /// fan-out rule as [`explore_protocol`], and returns the results in
+    /// tree order. `f` gets the options for any exploration it runs.
+    pub fn map_trees<R: Send>(
+        &self,
+        opts: &ExploreOptions,
+        f: impl Fn(&ProtocolTree, &ExploreOptions) -> R + Sync,
+    ) -> Vec<R> {
+        fan_out(&self.trees, opts, f)
+    }
+}
+
+/// Maps `f` over `items` with `effective_threads()` workers. With
+/// several trees in flight each exploration runs single-threaded: the
+/// outer fan-out already fills the pool.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    opts: &ExploreOptions,
+    f: impl Fn(&T, &ExploreOptions) -> R + Sync,
+) -> Vec<R> {
+    let threads = opts.effective_threads();
+    let inner = if threads > 1 {
+        opts.with_threads(1)
+    } else {
+        *opts
+    };
+    wfc_explorer::pool::parallel_map(threads, items, |item| f(item, &inner))
+}
+
+/// Builds and explores a consensus protocol's system for **each** of
+/// the `2^n` input vectors, once.
+///
+/// # Errors
+///
+/// The error of the first failing tree in lexicographic input order, so
+/// which error surfaces does not depend on how the trees were scheduled
+/// — in particular [`ExplorerError::NotWaitFree`] when some interleaving
+/// never terminates.
+pub fn explore_protocol(
+    n: usize,
+    build: impl Fn(&[bool]) -> ConsensusSystem + Sync,
+    opts: &ExploreOptions,
+) -> Result<ProtocolRuns, ExplorerError> {
+    let _span = wfc_obs::span::enter_lazy(opts.obs.spans, "explore_protocol", || format!("n={n}"));
+    if opts.obs.metrics {
+        wfc_obs::metrics::Registry::global()
+            .counter("consensus.protocol_verifications")
+            .add(1);
+    }
+    let vectors = binary_input_vectors(n);
+    let trees = fan_out(
+        &vectors,
+        opts,
+        |inputs, inner| -> Result<_, ExplorerError> {
+            let cs = build(inputs);
+            // The pass keeps every tree, and what a pool worker allocates
+            // but the caller frees later slows the pool work that follows;
+            // so only the (small) system and a compact reading of the
+            // exploration outlive this call.
+            let e = explore(&cs.system, inner)?;
+            Ok(ProtocolTree {
+                inputs: inputs.clone(),
+                verdict: TreeVerdict::of(inputs, &e),
+                registers: register_bounds(&cs, &e),
+                system: cs,
+            })
+        },
+    );
+    Ok(ProtocolRuns {
+        n,
+        trees: trees.into_iter().collect::<Result<_, _>>()?,
+    })
+}
+
+/// The read and write maxima of each of `cs`'s registers in one tree.
+fn register_bounds(cs: &ConsensusSystem, e: &Exploration) -> Vec<RegisterBounds> {
+    cs.registers
+        .iter()
+        .map(|info| {
+            let ty = cs.system.objects()[info.obj].ty();
+            let read_ix = ty
+                .invocation_id("read")
+                .expect("register type has a read")
+                .index();
+            RegisterBounds {
+                obj: info.obj,
+                reads: e.access.max_for(info.obj, read_ix),
+                // Writes: the exact maximum of total writes (any value)
+                // along a single execution, tracked by the explorer.
+                // Summing the per-value write maxima instead would
+                // over-approximate, since those maxima can each be
+                // attained on different executions.
+                writes: e.access.max_writes_for(info.obj),
+            }
+        })
+        .collect()
 }
 
 /// Model-checks a consensus protocol builder over **all** `2^n` input
@@ -736,67 +932,13 @@ impl ProtocolVerdict {
 ///
 /// # Errors
 ///
-/// Propagates exploration failures — in particular
-/// [`ExplorerError::NotWaitFree`] when some interleaving never terminates.
+/// As [`explore_protocol`].
 pub fn verify_consensus_protocol(
     n: usize,
     build: impl Fn(&[bool]) -> ConsensusSystem + Sync,
     opts: &ExploreOptions,
 ) -> Result<ProtocolVerdict, ExplorerError> {
-    let _span = wfc_obs::span::enter_lazy(opts.obs.spans, "verify_consensus_protocol", || {
-        format!("n={n}")
-    });
-    if opts.obs.metrics {
-        wfc_obs::metrics::Registry::global()
-            .counter("consensus.protocol_verifications")
-            .add(1);
-    }
-    let vectors = binary_input_vectors(n);
-    let threads = opts.effective_threads();
-    // With several vectors in flight, run each tree single-threaded —
-    // the outer fan-out already fills the pool.
-    let inner = if threads > 1 {
-        opts.with_threads(1)
-    } else {
-        *opts
-    };
-    let per_tree = wfc_explorer::pool::parallel_map(
-        threads,
-        &vectors,
-        |inputs| -> Result<(usize, usize, bool, bool), ExplorerError> {
-            let cs = build(inputs);
-            let e = explore(&cs.system, &inner)?;
-            let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-            Ok((
-                e.depth,
-                e.configs,
-                e.decisions_agree(),
-                e.decisions_within(&allowed),
-            ))
-        },
-    );
-
-    // Merge in lexicographic input order (the order of `vectors`), so
-    // the verdict — including which error surfaces — is identical no
-    // matter how the trees were scheduled.
-    let mut depth_per_tree = Vec::new();
-    let mut total_configs = 0;
-    let mut agreement = true;
-    let mut validity = true;
-    for tree in per_tree {
-        let (depth, configs, agrees, valid) = tree?;
-        depth_per_tree.push(depth);
-        total_configs += configs;
-        agreement &= agrees;
-        validity &= valid;
-    }
-    Ok(ProtocolVerdict {
-        d_max: depth_per_tree.iter().copied().max().unwrap_or(0),
-        depth_per_tree,
-        total_configs,
-        agreement,
-        validity,
-    })
+    explore_protocol(n, build, opts).map(|runs| runs.verdict())
 }
 
 #[cfg(test)]

@@ -9,24 +9,16 @@
 //!
 //! [`access_bounds`] computes all of this *exactly* for a concrete
 //! protocol: per-tree depths, `D`, and per-register `(r_b, w_b)` maxima
-//! over every execution of every tree. These bounds are what sizes the
-//! one-use-bit arrays in the Theorem 5 compiler ([`crate::transform`]).
+//! over every execution of every tree, read off the same pass
+//! ([`wfc_consensus::explore_protocol`]) that decides agreement and
+//! validity. These bounds are what sizes the one-use-bit arrays in the
+//! Theorem 5 compiler ([`crate::transform`]).
 
-use wfc_consensus::{binary_input_vectors, ConsensusSystem};
-use wfc_explorer::{explore, ExploreOptions, ExplorerError};
+pub use wfc_consensus::RegisterBounds;
+use wfc_consensus::{explore_protocol, ConsensusSystem, ProtocolRuns};
+use wfc_explorer::{ExploreOptions, ExplorerError};
 use wfc_obs::json::Json;
 use wfc_obs::report::RunReport;
-
-/// Read/write bounds for one register across all execution trees.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RegisterBounds {
-    /// The register's object index (within each per-vector system).
-    pub obj: usize,
-    /// `r_b`: the maximum number of reads in any execution.
-    pub reads: u32,
-    /// `w_b`: the maximum number of writes in any execution.
-    pub writes: u32,
-}
 
 /// The Section 4.2 analysis result for one consensus implementation.
 #[derive(Clone, Debug)]
@@ -69,10 +61,37 @@ impl AccessBounds {
             })
             .collect()
     }
+
+    /// Reads the Section 4.2 quantities off a protocol pass: each tree's
+    /// depth, `D`, and every register's `(r_b, w_b)` maxima over all
+    /// trees, merged in lexicographic input order.
+    pub fn from_runs(runs: &ProtocolRuns) -> AccessBounds {
+        let verdict = runs.verdict();
+        let mut registers: Vec<RegisterBounds> = Vec::new();
+        for tree in runs.trees() {
+            for (k, b) in tree.registers.iter().enumerate() {
+                match registers.get_mut(k) {
+                    Some(slot) => {
+                        debug_assert_eq!(slot.obj, b.obj, "builder must be shape-stable");
+                        slot.reads = slot.reads.max(b.reads);
+                        slot.writes = slot.writes.max(b.writes);
+                    }
+                    None => registers.push(*b),
+                }
+            }
+        }
+        AccessBounds {
+            depth_per_tree: verdict.depth_per_tree,
+            d_max: verdict.d_max,
+            registers,
+            total_configs: verdict.total_configs,
+        }
+    }
 }
 
 /// Computes the paper's Section 4.2 quantities for a consensus protocol
-/// given as a per-input-vector builder.
+/// given as a per-input-vector builder: [`explore_protocol`], then
+/// [`access_bounds_of`].
 ///
 /// Wait-freedom is verified as a side effect (a non-wait-free protocol
 /// has no access bounds; the paper's König argument is exactly this
@@ -82,99 +101,37 @@ impl AccessBounds {
 ///
 /// Propagates exploration failures, notably
 /// [`ExplorerError::NotWaitFree`].
-///
-/// # Observability
-///
-/// With observability on ([`ObsOptions`](wfc_explorer::ObsOptions) via
-/// `opts.obs`, or `WFC_OBS=1`), the analysis emits an `access_bounds`
-/// [`RunReport`] — explorer metrics plus a section carrying the paper
-/// quantities (`D`, per-tree depths, per-register `r_b`/`w_b`) — to
-/// `WFC_OBS_JSON` or stderr. On failure the report's section records the
-/// error instead (including budget consumption for budget errors).
 pub fn access_bounds(
     n: usize,
     build: impl Fn(&[bool]) -> ConsensusSystem + Sync,
     opts: &ExploreOptions,
 ) -> Result<AccessBounds, ExplorerError> {
-    let result = {
-        let _span = wfc_obs::span::enter_lazy(opts.obs.spans, "access_bounds", || format!("n={n}"));
-        compute_access_bounds(n, build, opts)
-    };
+    access_bounds_of(n, explore_protocol(n, build, opts).as_ref(), opts)
+}
+
+/// [`AccessBounds::from_runs`] on the outcome of an `n`-process
+/// protocol pass, passing its error through.
+///
+/// # Observability
+///
+/// With observability on ([`ObsOptions`](wfc_explorer::ObsOptions) via
+/// `opts.obs`, or `WFC_OBS=1`), this emits an `access_bounds`
+/// [`RunReport`] — explorer metrics plus a section carrying the paper
+/// quantities (`D`, per-tree depths, per-register `r_b`/`w_b`) — to
+/// `WFC_OBS_JSON` or stderr. On failure the report's section records the
+/// error instead (including budget consumption for budget errors). A
+/// caller that reads one pass several times calls this once, so the
+/// pass emits one report.
+pub fn access_bounds_of(
+    n: usize,
+    runs: Result<&ProtocolRuns, &ExplorerError>,
+    opts: &ExploreOptions,
+) -> Result<AccessBounds, ExplorerError> {
+    let result = runs.map(AccessBounds::from_runs).map_err(Clone::clone);
     if opts.obs.any() {
         emit_report(n, &result);
     }
     result
-}
-
-fn compute_access_bounds(
-    n: usize,
-    build: impl Fn(&[bool]) -> ConsensusSystem + Sync,
-    opts: &ExploreOptions,
-) -> Result<AccessBounds, ExplorerError> {
-    let vectors = binary_input_vectors(n);
-    let threads = opts.effective_threads();
-    // With several trees in flight, explore each one single-threaded —
-    // the outer fan-out already fills the pool.
-    let inner = if threads > 1 {
-        opts.with_threads(1)
-    } else {
-        *opts
-    };
-    type TreeResult = Result<(usize, usize, Vec<RegisterBounds>), ExplorerError>;
-    let per_tree = wfc_explorer::pool::parallel_map(threads, &vectors, |inputs| -> TreeResult {
-        let cs = build(inputs);
-        let e = explore(&cs.system, &inner)?;
-        let bounds: Vec<RegisterBounds> = cs
-            .registers
-            .iter()
-            .map(|info| {
-                let ty = cs.system.objects()[info.obj].ty();
-                let read_ix = ty
-                    .invocation_id("read")
-                    .expect("register type has a read")
-                    .index();
-                RegisterBounds {
-                    obj: info.obj,
-                    reads: e.access.max_for(info.obj, read_ix),
-                    // Writes: the exact maximum of total writes (any
-                    // value) along a single execution, tracked by the
-                    // explorer. Summing the per-value write maxima
-                    // instead would over-approximate, since those maxima
-                    // can each be attained on different executions.
-                    writes: e.access.max_writes_for(info.obj),
-                }
-            })
-            .collect();
-        Ok((e.depth, e.configs, bounds))
-    });
-
-    // Merge in lexicographic input order (the order of `vectors`), so
-    // results — and which error surfaces — are identical no matter how
-    // the trees were scheduled across threads.
-    let mut depth_per_tree = Vec::new();
-    let mut total_configs = 0usize;
-    let mut registers: Vec<RegisterBounds> = Vec::new();
-    for tree in per_tree {
-        let (depth, configs, bounds): (usize, usize, Vec<RegisterBounds>) = tree?;
-        depth_per_tree.push(depth);
-        total_configs += configs;
-        for (k, b) in bounds.into_iter().enumerate() {
-            match registers.get_mut(k) {
-                Some(slot) => {
-                    debug_assert_eq!(slot.obj, b.obj, "builder must be shape-stable");
-                    slot.reads = slot.reads.max(b.reads);
-                    slot.writes = slot.writes.max(b.writes);
-                }
-                None => registers.push(b),
-            }
-        }
-    }
-    Ok(AccessBounds {
-        d_max: depth_per_tree.iter().copied().max().unwrap_or(0),
-        depth_per_tree,
-        registers,
-        total_configs,
-    })
 }
 
 /// Assembles and emits the `access_bounds` run report: the collected

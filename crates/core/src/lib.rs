@@ -48,7 +48,7 @@ mod recipe;
 mod theorem5;
 mod transform;
 
-pub use access_bounds::{access_bounds, AccessBounds, RegisterBounds};
+pub use access_bounds::{access_bounds, access_bounds_of, AccessBounds, RegisterBounds};
 pub use bounded_bit::{bounded_bit, bounded_bit_with, cost, BoundedBitReader, BoundedBitWriter};
 pub use error::{BoundedBitError, DeriveError, TransformError};
 pub use one_use::{
@@ -59,7 +59,8 @@ pub use recipe::{
     RecipeOneUseReader, RecipeOneUseWriter,
 };
 pub use theorem5::{
-    check_theorem5, classify_deterministic, Theorem5Certificate, Theorem5Classification,
+    check_theorem5, check_theorem5_on, classify_deterministic, Theorem5Certificate,
+    Theorem5Classification,
 };
 pub use transform::{eliminate_registers, EliminatedSystem, OneUseSource};
 

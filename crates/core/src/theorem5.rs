@@ -11,7 +11,8 @@
 //! 2. **`T` deterministic and non-trivial** — run the register
 //!    eliminator with one-use bits implemented from `T`
 //!    ([`OneUseSource::Recipe`]); re-verify the output. This is
-//!    [`check_theorem5`].
+//!    [`check_theorem5`], or [`check_theorem5_on`] for a protocol pass
+//!    that is already explored.
 //! 3. **`h_m(T) ≥ 2`** — one-use bits come from a 2-process consensus
 //!    object implemented from `T` (Section 5.3); realised at runtime by
 //!    [`crate::one_use_from_consensus`], which works even for
@@ -23,12 +24,14 @@
 
 use std::sync::Arc;
 
-use wfc_consensus::{binary_input_vectors, ConsensusSystem, ProtocolVerdict};
+use wfc_consensus::{
+    explore_protocol, ConsensusSystem, ProtocolRuns, ProtocolVerdict, TreeVerdict,
+};
 use wfc_explorer::{explore, ExploreOptions};
 use wfc_spec::triviality::is_trivial;
 use wfc_spec::FiniteType;
 
-use crate::access_bounds::{access_bounds, AccessBounds};
+use crate::access_bounds::{access_bounds_of, AccessBounds};
 use crate::error::{DeriveError, TransformError};
 use crate::recipe::OneUseRecipe;
 use crate::transform::{eliminate_registers, OneUseSource};
@@ -83,8 +86,10 @@ impl Theorem5Certificate {
 }
 
 /// Runs the full Theorem 5 pipeline on a consensus protocol builder:
-/// access bounds (Section 4.2) → register elimination (Sections 4.3 + 5)
-/// → re-verification over all `2^n` input vectors.
+/// one pass over all `2^n` input vectors ([`explore_protocol`]) gives
+/// the access bounds (Section 4.2) and the verdict before elimination;
+/// [`check_theorem5_on`] then eliminates the registers (Sections 4.3 +
+/// 5) and re-verifies.
 ///
 /// # Errors
 ///
@@ -95,33 +100,42 @@ pub fn check_theorem5(
     source: &OneUseSource,
     opts: &ExploreOptions,
 ) -> Result<Theorem5Certificate, TransformError> {
-    let _span = wfc_obs::span::enter_lazy(opts.obs.spans, "check_theorem5", || format!("n={n}"));
+    let runs = explore_protocol(n, build, opts);
+    let bounds = access_bounds_of(n, runs.as_ref(), opts)?;
+    check_theorem5_on(&runs?, &bounds, source, opts)
+}
+
+/// Theorem 5 on a finished protocol pass whose access bounds are
+/// `bounds` (as [`access_bounds_of`] returns them): eliminates the
+/// registers from the systems the pass already built, and re-verifies
+/// the results over all `2^n` input vectors.
+///
+/// # Errors
+///
+/// Propagates transformation and exploration failures, the first in
+/// lexicographic input order.
+pub fn check_theorem5_on(
+    runs: &ProtocolRuns,
+    bounds: &AccessBounds,
+    source: &OneUseSource,
+    opts: &ExploreOptions,
+) -> Result<Theorem5Certificate, TransformError> {
+    let _span = wfc_obs::span::enter_lazy(opts.obs.spans, "check_theorem5", || {
+        format!("n={}", runs.n())
+    });
     if opts.obs.metrics {
         wfc_obs::metrics::Registry::global()
             .counter("core.theorem5.checks")
             .add(1);
     }
-    let bounds = access_bounds(n, &build, opts)?;
-    let before = wfc_consensus::verify_consensus_protocol(n, &build, opts)?;
-
-    let vectors = binary_input_vectors(n);
-    let threads = opts.effective_threads();
-    // With several vectors in flight, explore each eliminated system
-    // single-threaded — the outer fan-out already fills the pool.
-    let inner = if threads > 1 {
-        opts.with_threads(1)
-    } else {
-        *opts
-    };
-    type TreeResult = Result<(usize, usize, bool, bool, usize), TransformError>;
-    let per_tree = wfc_explorer::pool::parallel_map(threads, &vectors, |inputs| -> TreeResult {
+    let per_tree = runs.map_trees(opts, |tree, inner| -> Result<_, TransformError> {
         let _span = wfc_obs::span::enter_if(
             opts.obs.spans,
             "theorem5.eliminate_and_reverify",
             String::new(),
         );
-        let cs = build(inputs);
-        let eliminated = eliminate_registers(&cs, &bounds.registers, source)?;
+        let cs = &tree.system;
+        let eliminated = eliminate_registers(cs, &bounds.registers, source)?;
         // Structural register-freedom: every annotated register was
         // removed, and only the survivors plus the freshly allocated bit
         // substrate objects remain. (The substrate *type* may itself be
@@ -132,54 +146,31 @@ pub fn check_theorem5(
             cs.system.objects().len() - cs.registers.len() + eliminated.one_use_bits,
             "output must contain exactly the survivors plus the bit objects"
         );
-        let e = explore(&eliminated.system, &inner)?;
-        let allowed: Vec<i64> = inputs.iter().map(|&b| i64::from(b)).collect();
-        Ok((
-            e.depth,
-            e.configs,
-            e.decisions_agree(),
-            e.decisions_within(&allowed),
-            eliminated.one_use_bits,
-        ))
+        let e = explore(&eliminated.system, inner)?;
+        Ok((TreeVerdict::of(&tree.inputs, &e), eliminated.one_use_bits))
     });
 
-    // Merge in lexicographic input order; the bit count comes from the
-    // first vector (the compiler sizes arrays from `bounds`, which are
-    // shared, so every vector allocates the same number).
-    let mut depth_per_tree = Vec::new();
-    let mut total_configs = 0;
-    let mut agreement = true;
-    let mut validity = true;
-    let mut one_use_bits = 0;
-    for (k, tree) in per_tree.into_iter().enumerate() {
-        let (depth, configs, agrees, valid, bits) = tree?;
-        depth_per_tree.push(depth);
-        total_configs += configs;
-        agreement &= agrees;
-        validity &= valid;
-        if k == 0 {
-            one_use_bits = bits;
-        } else {
-            debug_assert_eq!(one_use_bits, bits, "bit allocation is input-independent");
-        }
-    }
-    let after = ProtocolVerdict {
-        d_max: depth_per_tree.iter().copied().max().unwrap_or(0),
-        depth_per_tree,
-        total_configs,
-        agreement,
-        validity,
-    };
+    // Merge in lexicographic input order, so the first error wins. The
+    // compiler sizes arrays from the shared `bounds`, so every vector
+    // allocates the same number of bits.
+    let after = per_tree.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let one_use_bits = after.first().map_or(0, |&(_, bits)| bits);
+    debug_assert!(
+        after.iter().all(|&(_, bits)| bits == one_use_bits),
+        "bit allocation is input-independent"
+    );
     Ok(Theorem5Certificate {
-        bounds,
+        bounds: bounds.clone(),
         one_use_bits,
-        before,
-        after,
+        before: runs.verdict(),
+        after: ProtocolVerdict::from_trees(after.into_iter().map(|(verdict, _)| verdict)),
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use wfc_consensus::{fetch_add_consensus_system, queue_consensus_system, tas_consensus_system};
     use wfc_spec::canonical;
@@ -269,15 +260,24 @@ mod tests {
         assert!(cert.holds(), "{cert:?}");
     }
 
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+    fn counting_cas_announce(inputs: &[bool]) -> ConsensusSystem {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        wfc_consensus::cas_announce_consensus_system(inputs)
+    }
+
     /// Three processes, six SRSW registers: the compiler scales beyond
     /// the two-process case, and the output — CAS plus one-use bits —
     /// still solves 3-process consensus on every schedule of every
-    /// input vector.
+    /// input vector. The bounds, the verdict before elimination and the
+    /// elimination all read one pass, so each of the 2^3 systems is
+    /// built once (only this test builds with the counting builder).
     #[test]
     fn three_process_cas_announce_survives_elimination() {
         let cert = check_theorem5(
             3,
-            wfc_consensus::cas_announce_consensus_system,
+            counting_cas_announce,
             &OneUseSource::OneUseBits,
             &ExploreOptions::default(),
         )
@@ -286,6 +286,7 @@ mod tests {
         // Six registers, each read ≤ 1 and written ≤ 1 time → 12 bits.
         assert_eq!(cert.one_use_bits, 12);
         assert_eq!(cert.bounds.depth_per_tree.len(), 8, "2^3 trees");
+        assert_eq!(BUILDS.load(Ordering::Relaxed), 8, "one build per tree");
     }
 
     /// Ablation: the paper's generic `r_b = w_b = D` sizing also works —

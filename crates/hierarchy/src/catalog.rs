@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use wfc_consensus::{self as c, ConsensusSystem};
 use wfc_spec::{canonical, FiniteType};
 
 use crate::level::{Evidence, Hierarchy, HierarchyValue, Level};
@@ -84,7 +85,7 @@ fn trivial1() -> HierarchyValue {
 }
 
 const ASPNES_SHIFT: &str =
-    "Aspnes 2025 (arXiv:2507.01955): the consensus number of a w-bit shift register is exactly w";
+    "Aspnes 2025 (arXiv:2505.01691): the consensus number of a w-bit shift register is exactly w";
 
 const MPR_WINDOW: &str = "Mostéfaoui–Perrin–Raynal, DISC 2018: the k-sliding-window register \
                           has consensus number exactly k";
@@ -390,12 +391,41 @@ pub fn catalog() -> Vec<CatalogEntry> {
     ]
 }
 
+/// A row whose checked bounds rest on Theorem 5: a type-name prefix, the
+/// row's two-process consensus protocol with registers, and the type the
+/// one-use-bit recipe comes from (`None`: the row's own type).
+type Theorem5Row = (&'static str, Builder, Option<fn() -> FiniteType>);
+
+/// A per-input-vector protocol builder.
+type Builder = fn(&[bool]) -> ConsensusSystem;
+
+const THEOREM5_ROWS: [Theorem5Row; 7] = [
+    ("shift2", |i| c::shift2_consensus_system([i[0], i[1]]), None),
+    ("mpr2", |i| c::mpr2_consensus_system([i[0], i[1]]), None),
+    (
+        "test_and_set",
+        |i| c::tas_consensus_system([i[0], i[1]]),
+        None,
+    ),
+    (
+        "queue",
+        |i| c::queue_consensus_system([i[0], i[1]]),
+        Some(|| canonical::queue(1, 1, 2)),
+    ),
+    ("stack", |i| c::stack_consensus_system([i[0], i[1]]), None),
+    ("swap", |i| c::swap_consensus_system([i[0], i[1]]), None),
+    (
+        "fetch_and_add",
+        |i| c::fetch_add_consensus_system([i[0], i[1]]),
+        None,
+    ),
+];
+
 /// Re-establishes every [`Evidence::Checked`] lower bound of `entry` by
 /// running the corresponding model checks. Returns `false` if any check
 /// fails (it never should; this is the catalog's self-test, also used by
 /// the benches).
 pub fn verify_entry(entry: &CatalogEntry) -> bool {
-    use wfc_consensus as c;
     use wfc_explorer::ExploreOptions;
     let opts = ExploreOptions::default();
     let name = entry.ty.name();
@@ -412,146 +442,39 @@ pub fn verify_entry(entry: &CatalogEntry) -> bool {
         // The level-1 upper bound rests on machine-checked triviality.
         return wfc_spec::triviality::is_trivial(&entry.ty).unwrap_or(false);
     }
-    if name == "shift2" {
-        let ok_h1r =
-            c::verify_consensus_protocol(2, |i| c::shift2_consensus_system([i[0], i[1]]), &opts)
-                .map(|v| v.holds())
-                .unwrap_or(false);
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
+    if let Some(&(_, build, recipe_ty)) = THEOREM5_ROWS
+        .iter()
+        .find(|(prefix, ..)| name.starts_with(prefix))
+    {
+        let recipe_ty = recipe_ty.map_or_else(|| Arc::clone(&entry.ty), |ty| Arc::new(ty()));
+        let Ok(recipe) = wfc_core::OneUseRecipe::from_type(&recipe_ty) else {
+            return false;
         };
-        let ok_hm = wfc_core::check_theorem5(
-            2,
-            |i| c::shift2_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-        return ok_h1r && ok_hm;
+        // `holds()` includes the verdict before elimination, so this one
+        // pass also re-checks the register-using protocol itself.
+        return wfc_core::check_theorem5(2, build, &wfc_core::OneUseSource::Recipe(recipe), &opts)
+            .is_ok_and(|cert| cert.holds());
     }
-    if name == "mpr2" {
-        let ok_h1r =
-            c::verify_consensus_protocol(2, |i| c::mpr2_consensus_system([i[0], i[1]]), &opts)
-                .map(|v| v.holds())
-                .unwrap_or(false);
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        let ok_hm = wfc_core::check_theorem5(
-            2,
-            |i| c::mpr2_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-        return ok_h1r && ok_hm;
-    }
-    if name == "test_and_set" {
-        let ok_h1r =
-            c::verify_consensus_protocol(2, |i| c::tas_consensus_system([i[0], i[1]]), &opts)
-                .map(|v| v.holds())
-                .unwrap_or(false);
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        let ok_hm = wfc_core::check_theorem5(
-            2,
-            |i| c::tas_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-        return ok_h1r && ok_hm;
-    }
-    if name.starts_with("queue") {
-        let queue_ty = Arc::new(canonical::queue(1, 1, 2));
-        let recipe = match wfc_core::OneUseRecipe::from_type(&queue_ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        return wfc_core::check_theorem5(
-            2,
-            |i| c::queue_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-    }
-    if name.starts_with("stack") {
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        return wfc_core::check_theorem5(
-            2,
-            |i| c::stack_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-    }
-    if name.starts_with("swap") {
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        return wfc_core::check_theorem5(
-            2,
-            |i| c::swap_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-    }
-    if name.starts_with("fetch_and_add") {
-        let recipe = match wfc_core::OneUseRecipe::from_type(&entry.ty) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        return wfc_core::check_theorem5(
-            2,
-            |i| c::fetch_add_consensus_system([i[0], i[1]]),
-            &wfc_core::OneUseSource::Recipe(recipe),
-            &opts,
-        )
-        .map(|cert| cert.holds())
-        .unwrap_or(false);
-    }
-    if name.starts_with("compare_and_swap") {
-        return (2..=3).all(|n| {
-            c::verify_consensus_protocol(n, c::cas_consensus_system, &opts)
-                .map(|v| v.holds())
-                .unwrap_or(false)
-        });
-    }
-    if name == "sticky_bit" {
-        return (2..=3).all(|n| {
-            c::verify_consensus_protocol(n, c::sticky_consensus_system, &opts)
-                .map(|v| v.holds())
-                .unwrap_or(false)
-        });
-    }
-    if name.starts_with("consensus") {
-        // The identity protocol: propose directly on the object.
-        return c::verify_consensus_protocol(2, identity_consensus_system, &opts)
-            .map(|v| v.holds())
-            .unwrap_or(false);
-    }
-    false
+    // Rows checked by a register-free protocol at 2..=`max_n` processes;
+    // for `consensus` it is the identity protocol (propose directly on
+    // the object).
+    let verified: [(&str, Builder, usize); 3] = [
+        ("compare_and_swap", c::cas_consensus_system, 3),
+        ("sticky_bit", c::sticky_consensus_system, 3),
+        ("consensus", identity_consensus_system, 2),
+    ];
+    verified
+        .iter()
+        .find(|(prefix, ..)| name.starts_with(prefix))
+        .is_some_and(|&(_, build, max_n)| {
+            (2..=max_n)
+                .all(|n| c::verify_consensus_protocol(n, build, &opts).is_ok_and(|v| v.holds()))
+        })
 }
 
 /// The identity implementation of consensus from a consensus object:
 /// propose your input, decide the response.
-pub fn identity_consensus_system(inputs: &[bool]) -> wfc_consensus::ConsensusSystem {
+pub fn identity_consensus_system(inputs: &[bool]) -> ConsensusSystem {
     use wfc_explorer::program::ProgramBuilder;
     use wfc_explorer::{ObjectInstance, System};
     let n = inputs.len();
@@ -573,7 +496,7 @@ pub fn identity_consensus_system(inputs: &[bool]) -> wfc_consensus::ConsensusSys
             b.build().expect("well-formed")
         })
         .collect();
-    wfc_consensus::ConsensusSystem {
+    ConsensusSystem {
         system: System::new(objects, programs),
         registers: Vec::new(),
         inputs: inputs.to_vec(),

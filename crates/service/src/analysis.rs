@@ -11,8 +11,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use wfc_consensus::ConsensusSystem;
-use wfc_core::{DeriveError, TransformError};
+use wfc_consensus::{ConsensusSystem, ProtocolRuns};
+use wfc_core::{AccessBounds, DeriveError, TransformError};
 use wfc_explorer::{ExploreOptions, ExplorerError};
 use wfc_obs::json::Json;
 use wfc_sched::{SchedError, SchedSpec};
@@ -456,22 +456,71 @@ fn witness(ty: &Arc<FiniteType>, opts: &ExploreOptions) -> Result<Json, QueryErr
     ]))
 }
 
+/// The protocol pass behind the exploration queries (`access-bounds`,
+/// `theorem5`, `verify-consensus`): the protocol's `2^n` systems are
+/// built and explored at most once, however many of those queries read
+/// them. A single query reads a fresh pass; a scenario shares one among
+/// its queries — they all run one type, one protocol and one set of
+/// options — and drops it when the run ends. Nothing here outlives a
+/// request.
+#[derive(Debug, Default)]
+pub(crate) struct ProtocolPass {
+    runs: Option<ProtocolRuns>,
+    bounds: Option<AccessBounds>,
+}
+
+impl ProtocolPass {
+    fn explore<'a>(
+        runs: &'a mut Option<ProtocolRuns>,
+        p: ProtocolEntry,
+        opts: &ExploreOptions,
+    ) -> Result<&'a ProtocolRuns, ExplorerError> {
+        if runs.is_none() {
+            *runs = Some(wfc_consensus::explore_protocol(p.n, p.build, opts)?);
+        }
+        Ok(runs.as_ref().expect("explored above"))
+    }
+
+    fn runs(
+        &mut self,
+        p: ProtocolEntry,
+        opts: &ExploreOptions,
+    ) -> Result<&ProtocolRuns, QueryError> {
+        Self::explore(&mut self.runs, p, opts).map_err(from_explorer)
+    }
+
+    /// The pass and its access bounds, derived (and reported) once.
+    fn bounds(
+        &mut self,
+        p: ProtocolEntry,
+        opts: &ExploreOptions,
+    ) -> Result<(&ProtocolRuns, &AccessBounds), QueryError> {
+        let runs = Self::explore(&mut self.runs, p, opts);
+        if self.bounds.is_none() {
+            let bounds = wfc_core::access_bounds_of(p.n, runs.as_ref().copied(), opts);
+            self.bounds = Some(bounds.map_err(from_explorer)?);
+        }
+        let runs = runs.map_err(from_explorer)?;
+        Ok((runs, self.bounds.as_ref().expect("derived above")))
+    }
+}
+
 fn access_bounds(
     ty: &Arc<FiniteType>,
     opts: &ExploreOptions,
-    over: Option<ProtocolEntry>,
+    p: ProtocolEntry,
+    pass: &mut ProtocolPass,
 ) -> Result<Json, QueryError> {
-    let p = resolve_protocol(ty, over)?;
-    let bounds = wfc_core::access_bounds(p.n, p.build, opts).map_err(from_explorer)?;
-    Ok(bounds_json(ty, p.label, p.n, &bounds))
+    let (_, bounds) = pass.bounds(p, opts)?;
+    Ok(bounds_json(ty, p.label, p.n, bounds))
 }
 
 fn theorem5(
     ty: &Arc<FiniteType>,
     opts: &ExploreOptions,
-    over: Option<ProtocolEntry>,
+    p: ProtocolEntry,
+    pass: &mut ProtocolPass,
 ) -> Result<Json, QueryError> {
-    let p = resolve_protocol(ty, over)?;
     if !ty.is_deterministic() {
         return Err(QueryError::Unsupported(format!(
             "type `{}` is nondeterministic; derive its one-use bits from a \
@@ -480,8 +529,9 @@ fn theorem5(
         )));
     }
     let recipe = wfc_core::OneUseRecipe::from_type(ty).map_err(from_derive)?;
+    let (runs, bounds) = pass.bounds(p, opts)?;
     let cert =
-        wfc_core::check_theorem5(p.n, p.build, &wfc_core::OneUseSource::Recipe(recipe), opts)
+        wfc_core::check_theorem5_on(runs, bounds, &wfc_core::OneUseSource::Recipe(recipe), opts)
             .map_err(from_transform)?;
     Ok(Json::obj(vec![
         ("type", Json::Str(ty.name().to_owned())),
@@ -498,11 +548,10 @@ fn theorem5(
 fn verify_consensus(
     ty: &Arc<FiniteType>,
     opts: &ExploreOptions,
-    over: Option<ProtocolEntry>,
+    p: ProtocolEntry,
+    pass: &mut ProtocolPass,
 ) -> Result<Json, QueryError> {
-    let p = resolve_protocol(ty, over)?;
-    let verdict =
-        wfc_consensus::verify_consensus_protocol(p.n, p.build, opts).map_err(from_explorer)?;
+    let verdict = pass.runs(p, opts)?.verdict();
     let mut fields = vec![
         ("type", Json::Str(ty.name().to_owned())),
         ("protocol", Json::Str(p.label.to_owned())),
@@ -557,12 +606,26 @@ pub fn run_query_with_protocol(
     opts: &ExploreOptions,
     protocol: Option<ProtocolEntry>,
 ) -> Result<Json, QueryError> {
+    run_query_on(kind, ty, opts, protocol, &mut ProtocolPass::default())
+}
+
+/// [`run_query_with_protocol`] reading the exploration queries off
+/// `pass`, which explores the protocol on first use.
+pub(crate) fn run_query_on(
+    kind: QueryKind,
+    ty: &Arc<FiniteType>,
+    opts: &ExploreOptions,
+    protocol: Option<ProtocolEntry>,
+    pass: &mut ProtocolPass,
+) -> Result<Json, QueryError> {
     match kind {
         QueryKind::Classify => classify(ty),
         QueryKind::Witness => witness(ty, opts),
-        QueryKind::AccessBounds => access_bounds(ty, opts, protocol),
-        QueryKind::Theorem5 => theorem5(ty, opts, protocol),
-        QueryKind::VerifyConsensus => verify_consensus(ty, opts, protocol),
+        QueryKind::AccessBounds => access_bounds(ty, opts, resolve_protocol(ty, protocol)?, pass),
+        QueryKind::Theorem5 => theorem5(ty, opts, resolve_protocol(ty, protocol)?, pass),
+        QueryKind::VerifyConsensus => {
+            verify_consensus(ty, opts, resolve_protocol(ty, protocol)?, pass)
+        }
         QueryKind::Sched => Err(QueryError::Unsupported(
             "sched queries take a fixture spec, not a type; use run_sched \
              (or run_query_text, which dispatches on the kind)"

@@ -4,10 +4,13 @@
 //! The scenario crate owns the language — parsing, canonicalization,
 //! lowering, result-document assembly. This module owns nothing but the
 //! glue: each [`LoweredQuery`] is dispatched onto the **same**
-//! [`run_query_with_protocol`]/[`run_sched_with`] functions the direct
-//! CLI subcommands and the server workers use, which is what makes a
-//! scenario's per-query `result` objects byte-identical to standalone
-//! `wfc classify`/`wfc sched`/`wfc query` runs of the same inputs.
+//! query functions ([`run_query_with_protocol`](crate::run_query_with_protocol),
+//! [`run_sched_with`]) the direct CLI subcommands and the server workers
+//! use, which is what makes a scenario's per-query `result` objects
+//! byte-identical to standalone `wfc classify`/`wfc sched`/`wfc query`
+//! runs of the same inputs. The one difference is that a scenario's
+//! exploration queries read one shared protocol pass instead of each
+//! exploring the protocol again.
 
 use std::time::Duration;
 
@@ -16,8 +19,8 @@ use wfc_scenario::{LoweredQuery, Scenario};
 use wfc_spec::control::{CancelToken, Wall};
 
 use crate::analysis::{
-    explore_options, parse_query_type, parse_sched_spec, protocol_by_name, run_query_with_protocol,
-    run_sched_with, QueryError,
+    explore_options, parse_query_type, parse_sched_spec, protocol_by_name, run_query_on,
+    run_sched_with, ProtocolEntry, ProtocolPass, QueryError,
 };
 use crate::wire::{QueryKind, QueryOptions};
 
@@ -77,6 +80,28 @@ pub fn run_scenario_with(
     cancel: CancelToken,
     wall: Option<Wall>,
 ) -> Result<Json, QueryError> {
+    let protocol = match &sc.protocol {
+        Some(name) => Some(protocol_by_name(name).ok_or_else(|| {
+            QueryError::Unsupported(format!(
+                "no consensus protocol is registered under the name `{name}` \
+                 (known: cas_announce)"
+            ))
+        })?),
+        None => None,
+    };
+    run_scenario_on(sc, options, cancel, wall, protocol)
+}
+
+/// [`run_scenario_with`] with the scenario's protocol already resolved.
+/// Its exploration queries share one [`ProtocolPass`], so the protocol's
+/// trees are built and explored once per run.
+fn run_scenario_on(
+    sc: &Scenario,
+    options: &QueryOptions,
+    cancel: CancelToken,
+    wall: Option<Wall>,
+    protocol: Option<ProtocolEntry>,
+) -> Result<Json, QueryError> {
     let mut effective = *options;
     if let Some(c) = sc.budget.configs {
         effective = effective.with_max_configs(usize::try_from(c).unwrap_or(usize::MAX));
@@ -90,15 +115,7 @@ pub fn run_scenario_with(
             .wall_ms
             .map(|ms| Wall::expires_in(Duration::from_millis(ms))),
     );
-    let protocol = match &sc.protocol {
-        Some(name) => Some(protocol_by_name(name).ok_or_else(|| {
-            QueryError::Unsupported(format!(
-                "no consensus protocol is registered under the name `{name}` \
-                 (known: cas_announce)"
-            ))
-        })?),
-        None => None,
-    };
+    let mut pass = ProtocolPass::default();
     let mut results = Vec::with_capacity(sc.queries.len());
     for step in sc.lower() {
         let result = match step {
@@ -108,7 +125,7 @@ pub fn run_scenario_with(
                 let ty = parse_query_type(&type_text)?;
                 let mut opts = explore_options(&effective).with_cancel(cancel);
                 opts.budget.wall = wall;
-                run_query_with_protocol(kind, &ty, &opts, protocol)?
+                run_query_on(kind, &ty, &opts, protocol, &mut pass)?
             }
             LoweredQuery::Sched { spec_text } => {
                 run_sched_with(&parse_sched_spec(&spec_text)?, cancel, wall)?
@@ -117,4 +134,61 @@ pub fn run_scenario_with(
         results.push(result);
     }
     Ok(sc.result_doc(&results))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use wfc_consensus::ConsensusSystem;
+
+    use super::*;
+    use crate::analysis::run_query_with_protocol;
+
+    /// Systems built by [`counting_cas_announce`]; only the test below
+    /// builds with it.
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+    fn counting_cas_announce(inputs: &[bool]) -> ConsensusSystem {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        wfc_consensus::cas_announce_consensus_system(inputs)
+    }
+
+    /// A scenario holding all three exploration queries builds (and so
+    /// explores) each of the protocol's `2^n` systems once, and each
+    /// query's result is the one the query reports on its own.
+    #[test]
+    fn a_scenario_explores_its_protocol_once() {
+        let sc = wfc_scenario::parse_scenario(
+            "scenario count\ntype builtin cas\nquery access-bounds\n\
+             query theorem5 expect=holds\nquery verify-consensus expect=holds\n",
+        )
+        .unwrap();
+        let entry = ProtocolEntry {
+            label: "cas+announce registers",
+            n: 3,
+            build: counting_cas_announce,
+        };
+        let options = QueryOptions::default();
+        let doc = run_scenario_on(&sc, &options, CancelToken::NONE, None, Some(entry)).unwrap();
+        assert_eq!(BUILDS.load(Ordering::Relaxed), 1 << 3, "one build per tree");
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
+
+        let ty = parse_query_type(&wfc_spec::text::format_type(&sc.resolved)).unwrap();
+        let Some(Json::Arr(queries)) = doc.get("queries") else {
+            panic!("a result document lists its queries: {}", doc.render());
+        };
+        for (kind, q) in [
+            QueryKind::AccessBounds,
+            QueryKind::Theorem5,
+            QueryKind::VerifyConsensus,
+        ]
+        .into_iter()
+        .zip(queries)
+        {
+            let alone = run_query_with_protocol(kind, &ty, &explore_options(&options), Some(entry))
+                .unwrap();
+            assert_eq!(q.get("result"), Some(&alone), "{kind:?}");
+        }
+    }
 }

@@ -63,9 +63,13 @@ pub struct FiniteType {
     states: Vec<String>,
     invocations: Vec<String>,
     responses: Vec<String>,
-    /// `delta[(q * ports + j) * |I| + i]` is the outcome set of `δ(q, j, i)`,
-    /// sorted and deduplicated.
-    delta: Vec<Vec<Outcome>>,
+    /// The outcome sets, flattened: `δ(q, j, i)` is
+    /// `delta[starts[s]..starts[s + 1]]` for the slot
+    /// `s = (q * ports + j) * |I| + i`, sorted and deduplicated. One
+    /// allocation instead of one per slot keeps a type small, and
+    /// systems hold their types for as long as they live.
+    delta: Vec<Outcome>,
+    starts: Vec<usize>,
 }
 
 impl FiniteType {
@@ -179,7 +183,8 @@ impl FiniteType {
     ///
     /// Panics if any identifier is out of range.
     pub fn outcomes(&self, q: StateId, j: PortId, i: InvId) -> &[Outcome] {
-        &self.delta[self.slot(q, j, i)]
+        let s = self.slot(q, j, i);
+        &self.delta[self.starts[s]..self.starts[s + 1]]
     }
 
     /// Returns the unique outcome of `δ(q, j, i)` for a deterministic type.
@@ -202,7 +207,7 @@ impl FiniteType {
     /// Returns `true` if every outcome set is a singleton (paper: `δ : Q ×
     /// N_n × I ↦ Q × R`).
     pub fn is_deterministic(&self) -> bool {
-        self.delta.iter().all(|outs| outs.len() == 1)
+        self.starts.windows(2).all(|w| w[1] - w[0] == 1)
     }
 
     /// Returns `true` if outcomes never depend on the invoking port
@@ -415,7 +420,7 @@ impl TypeBuilder {
             return Err(BuildTypeError::NoResponses);
         }
         let slots = self.states.len() * self.ports * self.invocations.len();
-        let mut delta: Vec<Vec<Outcome>> = vec![Vec::new(); slots];
+        let mut entries: Vec<(usize, Outcome)> = Vec::with_capacity(self.transitions.len());
         for (q, j, i, out) in &self.transitions {
             for (what, index, limit) in [
                 ("state", q.index(), self.states.len()),
@@ -429,10 +434,17 @@ impl TypeBuilder {
                 }
             }
             let slot = (q.index() * self.ports + j.index()) * self.invocations.len() + i.index();
-            delta[slot].push(*out);
+            entries.push((slot, *out));
         }
-        for (slot, outs) in delta.iter_mut().enumerate() {
-            if outs.is_empty() {
+        entries.sort_unstable();
+        entries.dedup();
+        // `starts[s + 1]` counts slot `s`'s outcomes, then accumulates.
+        let mut starts = vec![0; slots + 1];
+        for &(slot, _) in &entries {
+            starts[slot + 1] += 1;
+        }
+        for slot in 0..slots {
+            if starts[slot + 1] == 0 {
                 let i = slot % self.invocations.len();
                 let rest = slot / self.invocations.len();
                 let j = rest % self.ports;
@@ -443,8 +455,7 @@ impl TypeBuilder {
                     invocation: InvId::new(i),
                 });
             }
-            outs.sort_unstable();
-            outs.dedup();
+            starts[slot + 1] += starts[slot];
         }
         Ok(FiniteType {
             name: self.name,
@@ -452,7 +463,8 @@ impl TypeBuilder {
             states: self.states,
             invocations: self.invocations,
             responses: self.responses,
-            delta,
+            delta: entries.into_iter().map(|(_, out)| out).collect(),
+            starts,
         })
     }
 }
