@@ -645,9 +645,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     // protocol solves 2-process consensus.
     let outcome = hierarchy::impossibility::search_one_round_protocols(&opts)?;
     println!(
-        "one-round register protocols: {} candidates, {} explorations, {} survivors \
+        "one-round register protocols: {} candidates ({} checked up to swapping the processes), \
+         {} explorations, {} survivors \
          (classical impossibility, exhaustively verified on this family)",
         outcome.candidates,
+        outcome.representatives,
         outcome.explorations,
         outcome.survivors.len(),
     );

@@ -48,8 +48,11 @@ pub struct ConsensusSystem {
     pub inputs: Vec<bool>,
 }
 
-/// All `2^n` binary input vectors, in lexicographic order — one per
-/// execution tree of the paper's Section 4.2.
+/// All `2^n` binary input vectors — one per execution tree of the
+/// paper's Section 4.2 — in counting order of the mask whose bit `p` is
+/// process `p`'s input: process 0 varies fastest, so vector 1 is
+/// `[true, false, …]`. Every per-tree list in this workspace (and the
+/// golden tables pinning them) follows this order.
 pub fn binary_input_vectors(n: usize) -> Vec<Vec<bool>> {
     (0..1usize << n)
         .map(|mask| (0..n).map(|p| mask & (1 << p) != 0).collect())
@@ -730,7 +733,7 @@ impl ProtocolVerdict {
         self.agreement && self.validity
     }
 
-    /// The verdict over trees given in lexicographic input order.
+    /// The verdict over trees given in [`binary_input_vectors`] order.
     pub fn from_trees(trees: impl IntoIterator<Item = TreeVerdict>) -> Self {
         let mut v = ProtocolVerdict {
             depth_per_tree: Vec::new(),
@@ -803,7 +806,7 @@ pub struct ProtocolTree {
 }
 
 /// All `2^n` execution trees of a consensus protocol, each built and
-/// explored exactly once, in lexicographic input order — the one pass
+/// explored exactly once, in [`binary_input_vectors`] order — the one pass
 /// that the verdict ([`ProtocolRuns::verdict`]), the Section 4.2 access
 /// bounds and Theorem 5's elimination (both in `wfc-core`) all read.
 #[derive(Clone, Debug)]
@@ -863,7 +866,7 @@ fn fan_out<T: Sync, R: Send>(
 ///
 /// # Errors
 ///
-/// The error of the first failing tree in lexicographic input order, so
+/// The error of the first failing tree in [`binary_input_vectors`] order, so
 /// which error surfaces does not depend on how the trees were scheduled
 /// — in particular [`ExplorerError::NotWaitFree`] when some interleaving
 /// never terminates.
@@ -947,10 +950,20 @@ mod tests {
 
     #[test]
     fn input_vectors_enumerate_the_hypercube() {
-        let vs = binary_input_vectors(3);
-        assert_eq!(vs.len(), 8);
-        assert_eq!(vs[0], vec![false, false, false]);
-        assert_eq!(vs[7], vec![true, true, true]);
+        // Mask order, process 0 the least-significant bit — not
+        // lexicographic: the golden tables depend on exactly this order.
+        let (f, t) = (false, true);
+        let expected = [
+            [f, f, f],
+            [t, f, f],
+            [f, t, f],
+            [t, t, f],
+            [f, f, t],
+            [t, f, t],
+            [f, t, t],
+            [t, t, t],
+        ];
+        assert_eq!(binary_input_vectors(3), expected.map(Vec::from));
     }
 
     #[test]

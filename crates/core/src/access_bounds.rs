@@ -24,7 +24,7 @@ use wfc_obs::report::RunReport;
 #[derive(Clone, Debug)]
 pub struct AccessBounds {
     /// Depth `d` of each of the `2^n` execution trees, in
-    /// lexicographic input order.
+    /// [`wfc_consensus::binary_input_vectors`] order.
     pub depth_per_tree: Vec<usize>,
     /// The paper's `D`: the maximum depth over all trees.
     pub d_max: usize,
@@ -64,7 +64,7 @@ impl AccessBounds {
 
     /// Reads the Section 4.2 quantities off a protocol pass: each tree's
     /// depth, `D`, and every register's `(r_b, w_b)` maxima over all
-    /// trees, merged in lexicographic input order.
+    /// trees, merged in [`wfc_consensus::binary_input_vectors`] order.
     pub fn from_runs(runs: &ProtocolRuns) -> AccessBounds {
         let verdict = runs.verdict();
         let mut registers: Vec<RegisterBounds> = Vec::new();

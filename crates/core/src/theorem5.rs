@@ -113,7 +113,7 @@ pub fn check_theorem5(
 /// # Errors
 ///
 /// Propagates transformation and exploration failures, the first in
-/// lexicographic input order.
+/// [`wfc_consensus::binary_input_vectors`] order.
 pub fn check_theorem5_on(
     runs: &ProtocolRuns,
     bounds: &AccessBounds,
@@ -150,7 +150,7 @@ pub fn check_theorem5_on(
         Ok((TreeVerdict::of(&tree.inputs, &e), eliminated.one_use_bits))
     });
 
-    // Merge in lexicographic input order, so the first error wins. The
+    // Merge in input-vector order, so the first error wins. The
     // compiler sizes arrays from the shared `bounds`, so every vector
     // allocates the same number of bits.
     let after = per_tree.into_iter().collect::<Result<Vec<_>, _>>()?;

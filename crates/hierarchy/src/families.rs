@@ -31,14 +31,19 @@ use wfc_explorer::program::{BinOp, ProgramBuilder};
 use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
 use wfc_spec::{canonical, FiniteType, PortId};
 
-use crate::sweep::{self, Swept};
+use crate::sweep::{self, Family, Swept, Symmetry};
 
-/// Outcome of a family sweep: candidates examined, survivors (the
-/// impossibility predicts zero), explorations performed.
+/// Outcome of a family sweep: candidates examined, orbit
+/// representatives checked, survivors (the impossibility predicts zero),
+/// explorations performed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FamilyOutcome {
     /// Candidate protocols examined.
     pub candidates: usize,
+    /// Candidates actually model-checked: one per class of candidates
+    /// that differ only by a relabelling of the processes. Every other
+    /// candidate shares its representative's verdict.
+    pub representatives: usize,
     /// Candidates that satisfied consensus on every schedule of every
     /// input vector.
     pub survivor_count: usize,
@@ -51,6 +56,7 @@ impl<C> From<Swept<C>> for FamilyOutcome {
     fn from(swept: Swept<C>) -> FamilyOutcome {
         FamilyOutcome {
             candidates: swept.candidates,
+            representatives: swept.representatives,
             survivor_count: swept.survivors.len(),
             explorations: swept.explorations,
         }
@@ -157,14 +163,22 @@ fn build_shift1_system(
 ///
 /// Propagates cancellation and budget exhaustion.
 pub fn search_shift1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
+    sweep::run(opts, &shift1_family()).map(FamilyOutcome::from)
+}
+
+/// The shift1 family. Its strategies name no process, so swapping the
+/// two processes maps `(a, b)` to `(b, a)`: 2080 orbits.
+pub(crate) fn shift1_family(
+) -> Family<Shift1Strategy, 2, impl Fn([Shift1Strategy; 2], [bool; 2]) -> System + Sync> {
     let strategies = Shift1Strategy::all();
-    let candidates = sweep::product([&strategies[..], &strategies[..]]);
     let reg = Arc::new(canonical::boolean_register(2));
     let shift = Arc::new(canonical::shift_register(1, 2));
-    sweep::run("search_shift1_protocols", opts, &candidates, |c, i| {
-        build_shift1_system(&reg, &shift, c, i)
-    })
-    .map(FamilyOutcome::from)
+    Family {
+        name: "search_shift1_protocols",
+        choices: [strategies.clone(), strategies],
+        symmetry: Symmetry::processes(|s, _| s),
+        build: move |c, i| build_shift1_system(&reg, &shift, c, i),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -179,10 +193,10 @@ const SHL_RESPONSES: [&str; 2] = ["00", "10"];
 const SHR_RESPONSES: [&str; 2] = ["00", "01"];
 
 /// One process's strategy in the 3-process winner-table family: announce
-/// your input to both peers, shift the shared `shift2` object once in
-/// your chosen direction, map the returned contents to a *winner*
-/// process, and decide the winner's announced value (your own input if
-/// the winner is you).
+/// your input in your own register, which both peers read; shift the
+/// shared `shift2` object once in your chosen direction; map the returned
+/// contents to a *winner* process; and decide the winner's announced
+/// value (your own input if the winner is you).
 ///
 /// Strategies whose winner tables differ only on unreachable responses
 /// are behaviorally identical, so the table is indexed by the two
@@ -214,47 +228,69 @@ impl ShiftWinnerStrategy {
         }
         out
     }
+
+    /// The same strategy with its winner ids relabelled by `pi`.
+    pub(crate) fn relabelled<const N: usize>(self, pi: &[usize; N]) -> ShiftWinnerStrategy {
+        ShiftWinnerStrategy {
+            winner: self.winner.map(|w| pi[usize::from(w)] as u8),
+            ..self
+        }
+    }
 }
 
 /// The winner-table system on `inputs`, with types built for this one
-/// call; the sweeps build theirs once and call
-/// [`shift2_three_system`].
+/// call; the sweeps build theirs once and call [`shift2_system`].
 #[cfg(test)]
 fn build_shift2_three_system(strategies: [ShiftWinnerStrategy; 3], inputs: [bool; 3]) -> System {
-    let reg = Arc::new(canonical::boolean_register(2));
+    let reg = Arc::new(canonical::boolean_register(3));
     let shift = Arc::new(canonical::shift_register(2, 3));
-    shift2_three_system(&reg, &shift, strategies, inputs)
+    shift2_system(&reg, &shift, strategies, inputs)
 }
 
-fn shift2_three_system(
+/// The 2-process winner-table family (winners 0 and 1: 8 strategies
+/// per process), which has survivors — the positive control for orbit
+/// reduction.
+#[cfg(test)]
+pub(crate) fn shift2_two_process_family(
+    symmetry: Symmetry<ShiftWinnerStrategy, 2>,
+) -> Family<ShiftWinnerStrategy, 2, impl Fn([ShiftWinnerStrategy; 2], [bool; 2]) -> System + Sync> {
+    let strategies: Vec<ShiftWinnerStrategy> = ShiftWinnerStrategy::all()
+        .into_iter()
+        .filter(|s| s.winner.iter().all(|&w| w < 2))
+        .collect();
+    let reg = Arc::new(canonical::boolean_register(2));
+    let shift = Arc::new(canonical::shift_register(2, 2));
+    Family {
+        name: "shift2_two_process",
+        choices: [strategies.clone(), strategies],
+        symmetry,
+        build: move |c, i| shift2_system(&reg, &shift, c, i),
+    }
+}
+
+/// The winner-table system of `N` processes (winner ids below `N`).
+fn shift2_system<const N: usize>(
     reg: &Arc<FiniteType>,
     shift: &Arc<FiniteType>,
-    strategies: [ShiftWinnerStrategy; 3],
-    inputs: [bool; 3],
+    strategies: [ShiftWinnerStrategy; N],
+    inputs: [bool; N],
 ) -> System {
     let v0 = reg.state_id("v0").unwrap();
     let init = shift.state_id("01").unwrap();
     let read = reg.invocation_id("read").unwrap().index() as i64;
     let shl = shift.invocation_id("shl").unwrap().index() as i64;
     let shr = shift.invocation_id("shr").unwrap().index() as i64;
-    // announce[(p, q)] written by p (port 0), read by q (port 1): the six
-    // SRSW registers come first, the shared shift register is object 6.
-    let pairs: Vec<(usize, usize)> = (0..3)
-        .flat_map(|p| (0..3).filter(move |&q| q != p).map(move |q| (p, q)))
+    // announce[p], written by p and read by its peers, is object p; the
+    // shared shift register is object N. One register per process, not
+    // one per ordered pair: a process writing its peers' registers one
+    // after another would have to pick an order, and no order by peer id
+    // survives every relabelling of the processes.
+    let mut objects: Vec<ObjectInstance> = (0..N)
+        .map(|_| ObjectInstance::identity_ports(Arc::clone(reg), v0, N))
         .collect();
-    let announce_idx = |p: usize, q: usize| pairs.iter().position(|&x| x == (p, q)).unwrap() as i64;
-    let mut objects: Vec<ObjectInstance> = pairs
-        .iter()
-        .map(|&(p, q)| {
-            let mut ports = vec![None, None, None];
-            ports[p] = Some(PortId::new(0));
-            ports[q] = Some(PortId::new(1));
-            ObjectInstance::new(Arc::clone(reg), v0, ports)
-        })
-        .collect();
-    let shift_obj = objects.len() as i64;
+    let shift_obj = N as i64;
     let resp_id = |name: &str| shift.response_id(name).unwrap().index() as i64;
-    objects.push(ObjectInstance::identity_ports(Arc::clone(shift), init, 3));
+    objects.push(ObjectInstance::identity_ports(Arc::clone(shift), init, N));
     let program = |me: usize, s: ShiftWinnerStrategy, input: bool| {
         let write = reg
             .invocation_id(if input { "write1" } else { "write0" })
@@ -264,11 +300,7 @@ fn shift2_three_system(
         let mut b = ProgramBuilder::new();
         let r = b.var("r");
         let t = b.var("t");
-        for q in 0..3 {
-            if q != me {
-                b.invoke(announce_idx(me, q), write, None);
-            }
-        }
+        b.invoke(me as i64, write, None);
         b.invoke(shift_obj, if s.shl { shl } else { shr }, Some(r));
         for (i, name) in responses.iter().enumerate() {
             let resp = resp_id(name);
@@ -280,7 +312,7 @@ fn shift2_three_system(
                 b.ret(i64::from(input));
             } else {
                 let rv = b.var("rv");
-                b.invoke(announce_idx(w, me), read, Some(rv));
+                b.invoke(w as i64, read, Some(rv));
                 b.ret(rv);
             }
             b.bind(skip);
@@ -291,11 +323,9 @@ fn shift2_three_system(
     };
     System::new(
         objects,
-        vec![
-            program(0, strategies[0], inputs[0]),
-            program(1, strategies[1], inputs[1]),
-            program(2, strategies[2], inputs[2]),
-        ],
+        (0..N)
+            .map(|p| program(p, strategies[p], inputs[p]))
+            .collect(),
     )
 }
 
@@ -312,6 +342,14 @@ fn shift2_three_system(
 pub fn search_shift2_three_process_reduced(
     opts: &ExploreOptions,
 ) -> Result<FamilyOutcome, ExplorerError> {
+    sweep::run(opts, &shift2_reduced_family()).map(FamilyOutcome::from)
+}
+
+/// The reduced winner-table family. It fixes the first two processes'
+/// directions, so no process relabelling maps it into itself: every
+/// candidate is its own representative.
+pub(crate) fn shift2_reduced_family(
+) -> Family<ShiftWinnerStrategy, 3, impl Fn([ShiftWinnerStrategy; 3], [bool; 3]) -> System + Sync> {
     // P0: left-shifter; "10" ⇒ P0 itself, "00" ⇒ guess w0.
     let first: Vec<ShiftWinnerStrategy> = (0..3u8)
         .map(|w0| ShiftWinnerStrategy {
@@ -327,23 +365,22 @@ pub fn search_shift2_three_process_reduced(
         })
         .collect();
     let third = ShiftWinnerStrategy::all();
-    let candidates = sweep::product([&first[..], &second[..], &third[..]]);
-    let reg = Arc::new(canonical::boolean_register(2));
+    let reg = Arc::new(canonical::boolean_register(3));
     let shift = Arc::new(canonical::shift_register(2, 3));
-    sweep::run(
-        "search_shift2_three_process_reduced",
-        opts,
-        &candidates,
-        |c, i| shift2_three_system(&reg, &shift, c, i),
-    )
-    .map(FamilyOutcome::from)
+    Family {
+        name: "search_shift2_three_process_reduced",
+        choices: [first, second, third],
+        symmetry: Symmetry::none(),
+        build: move |c, i| shift2_system(&reg, &shift, c, i),
+    }
 }
 
 /// The full 3-process winner-table sweep: `18³ = 5832` candidate
 /// triples, every input vector, every schedule. Zero survivors:
 /// `h(shift2) < 3`, so with the model-checked 2-process protocol,
-/// `h(shift2) = 2` exactly. About 0.07 s in release on two cores
-/// (0.7 s in a debug build); exercised by the test
+/// `h(shift2) = 2` exactly. Only the 996 orbit representatives under
+/// process relabelling are model-checked: about 7 ms in release on two
+/// cores (0.1 s in a debug build); exercised by the test
 /// `no_winner_table_protocol_solves_3_consensus`.
 ///
 /// # Errors
@@ -352,17 +389,22 @@ pub fn search_shift2_three_process_reduced(
 pub fn search_shift2_three_process_full(
     opts: &ExploreOptions,
 ) -> Result<FamilyOutcome, ExplorerError> {
+    sweep::run(opts, &shift2_full_family()).map(FamilyOutcome::from)
+}
+
+/// The full winner-table family, closed under all six relabellings of
+/// its three processes (winner ids relabelled with them): 996 orbits.
+pub(crate) fn shift2_full_family(
+) -> Family<ShiftWinnerStrategy, 3, impl Fn([ShiftWinnerStrategy; 3], [bool; 3]) -> System + Sync> {
     let strategies = ShiftWinnerStrategy::all();
-    let candidates = sweep::product([&strategies[..], &strategies[..], &strategies[..]]);
-    let reg = Arc::new(canonical::boolean_register(2));
+    let reg = Arc::new(canonical::boolean_register(3));
     let shift = Arc::new(canonical::shift_register(2, 3));
-    sweep::run(
-        "search_shift2_three_process_full",
-        opts,
-        &candidates,
-        |c, i| shift2_three_system(&reg, &shift, c, i),
-    )
-    .map(FamilyOutcome::from)
+    Family {
+        name: "search_shift2_three_process_full",
+        choices: [strategies.clone(), strategies.clone(), strategies],
+        symmetry: Symmetry::processes(ShiftWinnerStrategy::relabelled),
+        build: move |c, i| shift2_system(&reg, &shift, c, i),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -441,13 +483,31 @@ fn build_mpr1_system(
 ///
 /// Propagates cancellation and budget exhaustion.
 pub fn search_mpr1_protocols(opts: &ExploreOptions) -> Result<FamilyOutcome, ExplorerError> {
+    sweep::run(opts, &mpr1_family()).map(FamilyOutcome::from)
+}
+
+/// The mpr1 family. A process's marker is its id, so swapping the
+/// processes swaps the markers too, and each decision table's marker
+/// columns with them; the window starts empty (`⟨⟩`), which names
+/// neither marker, so that swap is sound: 136 orbits.
+pub(crate) fn mpr1_family(
+) -> Family<Mpr1Strategy, 2, impl Fn([Mpr1Strategy; 2], [bool; 2]) -> System + Sync> {
     let strategies = Mpr1Strategy::all();
-    let candidates = sweep::product([&strategies[..], &strategies[..]]);
     let mpr = Arc::new(canonical::mpr(1, 2));
-    sweep::run("search_mpr1_protocols", opts, &candidates, |c, i| {
-        build_mpr1_system(&mpr, c, i)
-    })
-    .map(FamilyOutcome::from)
+    Family {
+        name: "search_mpr1_protocols",
+        choices: [strategies.clone(), strategies],
+        symmetry: Symmetry::processes(|s, pi| {
+            let mut decide = s.decide;
+            for (own, row) in s.decide.iter().enumerate() {
+                for (marker, &d) in row.iter().enumerate() {
+                    decide[own][pi[marker]] = d;
+                }
+            }
+            Mpr1Strategy { decide }
+        }),
+        build: move |c, i| build_mpr1_system(&mpr, c, i),
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use wfc_explorer::{ExploreOptions, ExplorerError, ObjectInstance, System};
 use wfc_spec::{canonical, FiniteType, PortId};
 
 use crate::families::FamilyOutcome;
-use crate::sweep;
+use crate::sweep::{self, Family, Symmetry};
 
 /// One process's strategy in the one-round family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,6 +59,9 @@ impl Strategy {
 pub struct SearchOutcome {
     /// Number of candidate protocols examined.
     pub candidates: usize,
+    /// Candidates actually model-checked: one per pair `{(a, b), (b, a)}`
+    /// of candidates that differ only by swapping the processes.
+    pub representatives: usize,
     /// Strategy pairs that satisfied agreement + validity + wait-freedom
     /// on every schedule of every input vector. The classical
     /// impossibility predicts this is empty.
@@ -116,14 +119,10 @@ fn build_system(reg: &Arc<FiniteType>, [s0, s1]: [Strategy; 2], inputs: [bool; 2
 /// Propagates exploration failures (none occur for this family: every
 /// candidate is trivially wait-free, being straight-line).
 pub fn search_one_round_protocols(opts: &ExploreOptions) -> Result<SearchOutcome, ExplorerError> {
-    let strategies = Strategy::all();
-    let candidates = sweep::product([&strategies[..], &strategies[..]]);
-    let reg = Arc::new(canonical::boolean_register(2));
-    let swept = sweep::run("search_one_round_protocols", opts, &candidates, |c, i| {
-        build_system(&reg, c, i)
-    })?;
+    let swept = sweep::run(opts, &one_round_family())?;
     Ok(SearchOutcome {
         candidates: swept.candidates,
+        representatives: swept.representatives,
         survivors: swept
             .survivors
             .into_iter()
@@ -131,6 +130,20 @@ pub fn search_one_round_protocols(opts: &ExploreOptions) -> Result<SearchOutcome
             .collect(),
         explorations: swept.explorations,
     })
+}
+
+/// The one-round family. Its strategies name no process, so swapping the
+/// two processes maps `(a, b)` to `(b, a)`: 528 orbits.
+pub(crate) fn one_round_family(
+) -> Family<Strategy, 2, impl Fn([Strategy; 2], [bool; 2]) -> System + Sync> {
+    let strategies = Strategy::all();
+    let reg = Arc::new(canonical::boolean_register(2));
+    Family {
+        name: "search_one_round_protocols",
+        choices: [strategies.clone(), strategies],
+        symmetry: Symmetry::processes(|s, _| s),
+        build: move |c, i| build_system(&reg, c, i),
+    }
 }
 
 /// One process's strategy in the *two-read* family: a write of its input
@@ -235,21 +248,30 @@ pub type TwoReadOutcome = FamilyOutcome;
 
 /// Exhaustively searches the two-read family (`768² = 589 824` candidate
 /// protocols) for a correct register-only consensus. The classical
-/// impossibility predicts zero survivors. Expensive (about 2.7 s in
-/// release on two cores); exercised by the `--ignored` test
-/// `no_two_read_register_protocol_solves_consensus`.
+/// impossibility predicts zero survivors. Only the 295 296 orbit
+/// representatives under swapping the processes are model-checked.
+/// Expensive (about 1.5 s in release on two cores); exercised by the
+/// `--ignored` test `no_two_read_register_protocol_solves_consensus`.
 ///
 /// # Errors
 ///
 /// Propagates exploration failures.
 pub fn search_two_read_protocols(opts: &ExploreOptions) -> Result<TwoReadOutcome, ExplorerError> {
+    sweep::run(opts, &two_read_family()).map(FamilyOutcome::from)
+}
+
+/// The two-read family. Its strategies name no process, so swapping the
+/// two processes maps `(a, b)` to `(b, a)`: 295 296 orbits.
+pub(crate) fn two_read_family(
+) -> Family<TwoReadStrategy, 2, impl Fn([TwoReadStrategy; 2], [bool; 2]) -> System + Sync> {
     let strategies = TwoReadStrategy::all();
-    let candidates = sweep::product([&strategies[..], &strategies[..]]);
     let reg = Arc::new(canonical::boolean_register(2));
-    sweep::run("search_two_read_protocols", opts, &candidates, |c, i| {
-        build_two_read_system(&reg, c, i)
-    })
-    .map(FamilyOutcome::from)
+    Family {
+        name: "search_two_read_protocols",
+        choices: [strategies.clone(), strategies],
+        symmetry: Symmetry::processes(|s, _| s),
+        build: move |c, i| build_two_read_system(&reg, c, i),
+    }
 }
 
 #[cfg(test)]
@@ -280,9 +302,10 @@ mod tests {
             "registers solved consensus?! {:?}",
             outcome.survivors
         );
+        assert_eq!(outcome.representatives, 528, "one per unordered pair");
         assert!(
-            outcome.explorations >= 1024,
-            "each pair explored at least once"
+            outcome.explorations >= outcome.representatives,
+            "each representative explored at least once"
         );
     }
 
@@ -325,7 +348,7 @@ mod tests {
     /// Uses every core (`threads = 0`). Run with
     /// `cargo test --release -p wfc-hierarchy -- --ignored`.
     #[test]
-    #[ignore = "exhaustive sweep, about 2.7 s in release on two cores; run with --ignored"]
+    #[ignore = "exhaustive sweep, about 1.5 s in release on two cores; run with --ignored"]
     fn no_two_read_register_protocol_solves_consensus() {
         let outcome =
             search_two_read_protocols(&ExploreOptions::default().with_threads(0)).unwrap();

@@ -111,7 +111,10 @@ fn theorem5_certificates_are_identical_across_thread_counts() {
 #[test]
 fn sweep_outcomes_are_identical_across_thread_counts() {
     type Sweep = fn(&ExploreOptions) -> String;
-    let sweeps: [(&str, Sweep); 4] = [
+    let sweeps: [(&str, Sweep); 5] = [
+        ("shift2 full", |o| {
+            format!("{:?}", families::search_shift2_three_process_full(o))
+        }),
         ("shift2 reduced", |o| {
             format!("{:?}", families::search_shift2_three_process_reduced(o))
         }),
