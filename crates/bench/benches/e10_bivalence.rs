@@ -26,17 +26,6 @@ fn bench_bivalence(c: &mut Criterion) {
             b.iter(|| black_box(analyze_valency(&cs.system, &opts).unwrap()))
         });
     }
-    // Thread axis: graph discovery is sharded across workers; the valency
-    // classification itself is unchanged and the output bit-identical.
-    for threads in [1, 2, 4] {
-        let topts = opts.with_threads(threads);
-        let cs = wfc_consensus::cas_consensus_system(&[false; 4]);
-        g.bench_with_input(
-            BenchmarkId::new("cas_all_zero_n4_threads", threads),
-            &cs,
-            |b, cs| b.iter(|| black_box(analyze_valency(&cs.system, &topts).unwrap())),
-        );
-    }
     g.finish();
 
     let mut g = c.benchmark_group("e10_impossibility");

@@ -624,21 +624,24 @@ fn main() -> Result<(), Box<dyn Error>> {
         assert!(before.holds() && after.holds());
     }
 
-    // Sampling mode: the scaling strategy beyond exhaustive reach —
-    // 4-process CAS+announce, 2 000 random schedules.
+    // The largest exhaustive consensus check: 4-process CAS+announce,
+    // every one of its 16 input vectors explored in full.
     {
-        use wfc_explorer::simulate::sample_executions;
-        let cs = consensus::cas_announce_consensus_system(&[false, true, true, false]);
-        let stats = sample_executions(&cs.system, 2_000, 500, 20260705)?;
+        let v = consensus::verify_consensus_protocol(
+            4,
+            consensus::cas_announce_consensus_system,
+            &opts,
+        )?;
         println!(
-            "sampling (cas+announce n=4, mixed inputs): {} runs, max depth {}, agreement {}, timeouts {}",
-            stats.executions,
-            stats.max_depth,
-            stats.decisions_agree(),
-            stats.timeouts,
+            "exhaustive (cas+announce n=4, all inputs): {} trees, {} configs, D {}, agreement {}, validity {}",
+            v.depth_per_tree.len(),
+            v.total_configs,
+            v.d_max,
+            v.agreement,
+            v.validity,
         );
-        assert!(stats.decisions_agree());
-        assert_eq!(stats.timeouts, 0);
+        assert_eq!(v.depth_per_tree.len(), 16);
+        assert!(v.holds());
     }
 
     // The bounded exhaustive impossibility: no one-round register-only

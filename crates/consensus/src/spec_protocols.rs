@@ -844,21 +844,16 @@ impl ProtocolRuns {
     }
 }
 
-/// Maps `f` over `items` with `effective_threads()` workers. With
-/// several trees in flight each exploration runs single-threaded: the
-/// outer fan-out already fills the pool.
+/// Maps `f` over `items` with `effective_threads()` workers. `f` gets
+/// `threads = 1`, so nothing it runs fans out again: the outer fan-out
+/// already fills the pool.
 fn fan_out<T: Sync, R: Send>(
     items: &[T],
     opts: &ExploreOptions,
     f: impl Fn(&T, &ExploreOptions) -> R + Sync,
 ) -> Vec<R> {
-    let threads = opts.effective_threads();
-    let inner = if threads > 1 {
-        opts.with_threads(1)
-    } else {
-        *opts
-    };
-    wfc_explorer::pool::parallel_map(threads, items, |item| f(item, &inner))
+    let inner = opts.with_threads(1);
+    wfc_explorer::pool::parallel_map(opts.effective_threads(), items, |item| f(item, &inner))
 }
 
 /// Builds and explores a consensus protocol's system for **each** of

@@ -78,9 +78,9 @@ pub enum ExplorerError {
     /// ([`ExploreOptions`](crate::ExploreOptions)). The payload carries
     /// the exact usage at the tripping sync point and a
     /// [`Progress`](wfc_spec::control::Progress) snapshot; both are
-    /// deterministic across thread counts — budgets are checked only at
-    /// level-sync points, and interning happens at the coordinator in
-    /// frontier order.
+    /// deterministic across thread counts — one exploration runs on one
+    /// thread, checks its budgets only at level-sync points, and interns
+    /// each level's children in frontier order.
     Exhausted(wfc_spec::control::Exhausted),
     /// The system admits an infinite execution (a cycle in the
     /// configuration graph), so access bounds do not exist. This is

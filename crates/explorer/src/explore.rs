@@ -73,8 +73,8 @@ impl Default for ObsOptions {
     }
 }
 
-/// Budget and parallelism knobs for [`explore`] and
-/// [`ConfigGraph::build`].
+/// Budget, fan-out and observability knobs for [`explore`],
+/// [`ConfigGraph::build`] and the analyses built on them.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreOptions {
     /// The control-plane budget: the explorer meters the `configs` and
@@ -84,10 +84,13 @@ pub struct ExploreOptions {
     /// A system whose longest execution is exactly `budget.depth` steps
     /// still succeeds.
     pub budget: Budget,
-    /// Worker threads for graph discovery: `1` (the default) explores
-    /// on the calling thread, `0` means one per available core. Every
-    /// quantity [`explore`] computes is bit-identical across thread
-    /// counts.
+    /// Fan-out width: the worker threads that analyses running many
+    /// independent explorations (a protocol's `2^n` execution trees,
+    /// sweep candidates, crash-check configurations) spread them
+    /// across. `1` (the default) runs everything on the calling thread,
+    /// `0` means one per available core. A single exploration
+    /// ([`explore`], [`ConfigGraph::build`]) always runs on one thread,
+    /// and every quantity is bit-identical across thread counts.
     pub threads: usize,
     /// What instrumentation this exploration records (defaults to the
     /// process-wide `wfc-obs` flag; see [`ObsOptions`]).
@@ -111,7 +114,7 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// This configuration with `threads` discovery workers.
+    /// This configuration with a fan-out width of `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -153,16 +156,10 @@ impl ExploreOptions {
         self
     }
 
-    /// The resolved worker count: `threads`, with `0` meaning one per
-    /// available core.
+    /// The resolved fan-out width: `threads`, with `0` meaning one per
+    /// available core (see [`crate::pool::resolve_threads`]).
     pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
+        crate::pool::resolve_threads(self.threads)
     }
 }
 
@@ -689,8 +686,8 @@ mod tests {
         for threads in [1, 4] {
             let opts = ExploreOptions::default().with_threads(threads);
             assert!(explore(&tas_race(), &opts.with_max_configs(5)).is_ok());
-            // The coordinator interns children one at a time, so the
-            // trip reports exactly budget + 1 — no level overshoot.
+            // Children are interned one at a time, so the trip reports
+            // exactly budget + 1 — no level overshoot.
             assert_eq!(
                 exhausted(explore(&tas_race(), &opts.with_max_configs(4)).unwrap_err()),
                 (Resource::Configs, 4, 5)

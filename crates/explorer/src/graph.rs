@@ -14,25 +14,26 @@
 //! row (CSR) form: one offsets array and one flat `(process, child)`
 //! array. Discovery allocates nothing per configuration.
 //!
-//! Discovery is a level-synchronised breadth-first search; with
-//! [`ExploreOptions::threads`] > 1 each frontier is sharded across a
-//! scoped thread pool of which the coordinator is one worker (a level
-//! at `n` threads spawns `n - 1`). Workers only *expand*
-//! configurations, appending child rows and their hashes to a flat
-//! buffer each worker keeps across levels. All interning happens on the
-//! coordinator, in frontier order, after the level joins. Node
-//! numbering is therefore identical at every thread count (not merely
-//! the node *set*), and the configs budget is exact: the build aborts
-//! the moment the `budget.configs + 1`-st distinct configuration
-//! appears, with no end-of-level overshoot. Because nodes are numbered
-//! in discovery order, each level's frontier is a contiguous id range
-//! and the CSR offsets are appended in node order as the frontier is
-//! interned. Cycle detection and the post-order are computed afterwards
-//! by a cheap sequential pass over the finished edges, which touches no
+//! Discovery is a sequential, level-synchronised breadth-first search.
+//! Each level first expands every frontier node for every process into
+//! one reused buffer of child rows, surfaces the level's program error
+//! if there is one, and only then interns the children in frontier
+//! order. Node numbering is therefore deterministic, and the
+//! configs budget is exact: the build aborts the moment the
+//! `budget.configs + 1`-st distinct configuration appears, with no
+//! end-of-level overshoot. Because nodes are numbered in discovery
+//! order, each level's frontier is a contiguous id range and the CSR
+//! offsets are appended in node order as the frontier is expanded.
+//! Cycle detection and the post-order are computed afterwards by a
+//! cheap sequential pass over the finished edges, which touches no
 //! program state.
+//!
+//! One build runs on one thread. Parallelism lives one level up: the
+//! analyses fan independent execution trees, sweep candidates and
+//! crash-check configurations across [`crate::pool::parallel_map`], each
+//! building its own graph. [`ExploreOptions::threads`] sets that fan-out
+//! width and is ignored here.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,10 +65,6 @@ pub struct ConfigGraph {
     /// a reverse topological order suitable for dynamic programming.
     pub post_order: Vec<usize>,
 }
-
-/// Frontiers smaller than this are expanded inline even when
-/// `threads > 1`: per-level thread spawns would dominate the work.
-const PARALLEL_FRONTIER_MIN: usize = 64;
 
 /// A std-only word hash for packed rows: a multiply-rotate fold over the
 /// words (the `FxHash` recipe) with a final mix, so the high bits the
@@ -181,8 +178,9 @@ impl Interner {
     }
 }
 
-/// The level's error, keyed by `(Debug string, process)` so the choice
-/// does not depend on which worker found which error first.
+/// The level's error, keyed by `(Debug string, process)`: the smallest
+/// key over the whole level wins, so the choice does not depend on the
+/// order in which the level was expanded.
 type LevelError = (String, usize, ExplorerError);
 
 fn merge_error(slot: &mut Option<LevelError>, candidate: LevelError) {
@@ -192,67 +190,6 @@ fn merge_error(slot: &mut Option<LevelError>, candidate: LevelError) {
     };
     if replace {
         *slot = Some(candidate);
-    }
-}
-
-/// One worker's share of a frontier level, kept across levels so its
-/// buffers are reused: the child rows it expanded, back to back, plus
-/// each child's process and hash, and which frontier positions it
-/// claimed. Nothing is interned here — the coordinator does that in
-/// frontier order.
-#[derive(Default)]
-struct Expansion {
-    /// Child rows, back to back: child `k` is `rows[k * width..]`.
-    rows: Vec<i64>,
-    /// `(process, row hash)` of each child.
-    kids: Vec<(u32, u64)>,
-    /// `(frontier position, first child, child count)` per claimed
-    /// position, in claim order (ascending).
-    claimed: Vec<(usize, usize, usize)>,
-    error: Option<LevelError>,
-}
-
-impl Expansion {
-    /// Expands the positions of `frontier` this worker claims via `next`.
-    /// Pure expansion: the result depends only on which positions were
-    /// claimed, never on scheduling, so any partition of a level across
-    /// workers yields the same merged level.
-    fn expand(
-        &mut self,
-        system: &System,
-        nodes: &Interner,
-        frontier: Range<usize>,
-        next: &AtomicUsize,
-    ) {
-        self.rows.clear();
-        self.kids.clear();
-        self.claimed.clear();
-        self.error = None;
-        let width = nodes.width;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= frontier.len() {
-                return;
-            }
-            let row = nodes.row(frontier.start + i);
-            let first = self.kids.len();
-            for p in 0..system.processes() {
-                match system.step_into(row, p, &mut self.rows) {
-                    Ok(n) => {
-                        for _ in 0..n {
-                            let hash = row_hash(self.row(self.kids.len(), width));
-                            self.kids.push((p as u32, hash));
-                        }
-                    }
-                    Err(e) => merge_error(&mut self.error, (format!("{e:?}"), p, e)),
-                }
-            }
-            self.claimed.push((i, first, self.kids.len() - first));
-        }
-    }
-
-    fn row(&self, k: usize, width: usize) -> &[i64] {
-        &self.rows[k * width..(k + 1) * width]
     }
 }
 
@@ -303,7 +240,6 @@ impl ConfigGraph {
         let init = system.initial_config()?;
         let layout = system.layout();
         let width = layout.width();
-        let threads = opts.effective_threads().max(1);
         let metrics = opts.obs.metrics.then(BuildMetrics::new);
 
         let mut nodes = Interner::new(width);
@@ -314,9 +250,11 @@ impl ConfigGraph {
 
         let mut offsets: Vec<usize> = vec![0];
         let mut kids: Vec<(u32, u32)> = Vec::new();
-        let mut workers: Vec<Expansion> = Vec::new();
-        // `slots[i]` is the (worker, claim) that expanded frontier position i.
-        let mut slots: Vec<(usize, usize)> = Vec::new();
+        // The level's children, reused across levels: child `k`'s row is
+        // `child_rows[k * width..]` and `child_procs[k]` the process
+        // whose step produced it.
+        let mut child_rows: Vec<i64> = Vec::new();
+        let mut child_procs: Vec<u32> = Vec::new();
         let mut frontier = root..nodes.len();
         let mut level = 0usize;
 
@@ -339,100 +277,55 @@ impl ConfigGraph {
             let _level_span =
                 wfc_obs::span::enter_lazy(opts.obs.spans, "bfs_level", || format!("level={level}"));
             let level_start = metrics.as_ref().map(|_| Instant::now());
-            let next = AtomicUsize::new(0);
-            // Spawning workers costs more than expanding a small frontier;
-            // expand those levels inline. This is exactly the `threads = 1`
-            // path, so results are unchanged — parallel output is invariant
-            // under how each level was scheduled.
-            let level_workers = if frontier.len() < PARALLEL_FRONTIER_MIN {
-                1
-            } else {
-                threads
-            };
-            if workers.len() < level_workers {
-                workers.resize_with(level_workers, Expansion::default);
-            }
-            let (first, helpers) = workers[..level_workers]
-                .split_first_mut()
-                .expect("at least one worker");
-            let nodes_ref = &nodes;
-            if helpers.is_empty() {
-                first.expand(system, nodes_ref, frontier.clone(), &next);
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = helpers
-                        .iter_mut()
-                        .map(|w| {
-                            let (frontier, next) = (frontier.clone(), &next);
-                            s.spawn(move || w.expand(system, nodes_ref, frontier, next))
-                        })
-                        .collect();
-                    first.expand(system, nodes_ref, frontier.clone(), &next);
-                    // Join explicitly so each thread has exited, and
-                    // released its malloc arena, before the next level.
-                    for h in handles {
-                        h.join().expect("worker panicked");
-                    }
-                });
-            }
-            let parts = &mut workers[..level_workers];
-
-            // Surface the (deterministically merged) error first, then
-            // intern on this thread in frontier order.
+            child_rows.clear();
+            child_procs.clear();
             let mut error: Option<LevelError> = None;
-            for part in parts.iter_mut() {
-                if let Some(e) = part.error.take() {
-                    merge_error(&mut error, e);
+            for v in frontier.clone() {
+                let row = nodes.row(v);
+                for p in 0..system.processes() {
+                    match system.step_into(row, p, &mut child_rows) {
+                        Ok(n) => child_procs.extend(std::iter::repeat_n(p as u32, n)),
+                        Err(e) => merge_error(&mut error, (format!("{e:?}"), p, e)),
+                    }
                 }
+                // Each child becomes one edge, so `v`'s edges end here.
+                offsets.push(kids.len() + child_procs.len());
             }
+            // A program error anywhere in the level beats a configs trip.
             if let Some((_, _, e)) = error {
                 return Err(e);
             }
-            slots.clear();
-            slots.resize(frontier.len(), (usize::MAX, 0));
-            for (w, part) in parts.iter().enumerate() {
-                for (c, &(i, _, _)) in part.claimed.iter().enumerate() {
-                    slots[i] = (w, c);
-                }
-            }
 
             let mut discovered = 0usize;
-            let mut level_edges = 0usize;
-            for &(w, c) in &slots {
-                let part = &parts[w];
-                let (_, first_kid, count) = part.claimed[c];
-                for k in first_kid..first_kid + count {
-                    let (p, hash) = part.kids[k];
-                    let row = part.row(k, width);
-                    level_edges += 1;
-                    let id = match nodes.find(hash, row) {
-                        Some(id) => id,
-                        None => {
-                            let used = nodes.len() as u64 + 1;
-                            if let Some(e) = opts.budget.configs_exceeded(
-                                used,
-                                Progress {
-                                    configs: used,
-                                    depth: level as u64,
-                                    ..Progress::default()
-                                },
-                            ) {
-                                return Err(ExplorerError::Exhausted(e));
-                            }
-                            discovered += 1;
-                            nodes.insert(hash, row)
+            for (k, &p) in child_procs.iter().enumerate() {
+                let row = &child_rows[k * width..(k + 1) * width];
+                let hash = row_hash(row);
+                let id = match nodes.find(hash, row) {
+                    Some(id) => id,
+                    None => {
+                        let used = nodes.len() as u64 + 1;
+                        if let Some(e) = opts.budget.configs_exceeded(
+                            used,
+                            Progress {
+                                configs: used,
+                                depth: level as u64,
+                                ..Progress::default()
+                            },
+                        ) {
+                            return Err(ExplorerError::Exhausted(e));
                         }
-                    };
-                    kids.push((p, id as u32));
-                }
-                offsets.push(kids.len());
+                        discovered += 1;
+                        nodes.insert(hash, row)
+                    }
+                };
+                kids.push((p, id as u32));
             }
             if let Some(m) = &metrics {
                 // Every edge is one intern lookup; the lookups that did
                 // not discover a new node were hits.
                 m.frontier.record(frontier.len() as u64);
                 m.misses.add(discovered as u64);
-                m.hits.add((level_edges - discovered) as u64);
+                m.hits.add((child_procs.len() - discovered) as u64);
                 m.max_level.record_max(level as i64);
                 if let Some(t0) = level_start {
                     m.level_ns.record(t0.elapsed().as_nanos() as u64);
@@ -600,8 +493,7 @@ mod tests {
     }
 
     /// Four processes on one shared register, each writing its parity
-    /// and then reading twice: the middle levels hold well over
-    /// [`PARALLEL_FRONTIER_MIN`] configurations.
+    /// and then reading twice: a graph with wide middle levels.
     fn wide_register_system() -> System {
         let reg = Arc::new(canonical::boolean_register(4));
         let init = reg.state_id("v0").unwrap();
@@ -625,45 +517,16 @@ mod tests {
         System::new(vec![obj], programs)
     }
 
-    /// The widest breadth-first level of `g`: the largest frontier the
-    /// build expanded.
-    fn widest_level(g: &ConfigGraph) -> usize {
-        let mut level = vec![usize::MAX; g.len()];
-        let mut width = vec![1usize];
-        level[g.root] = 0;
-        let mut queue = std::collections::VecDeque::from([g.root]);
-        while let Some(v) = queue.pop_front() {
-            for (_, c) in g.children(v) {
-                if level[c] == usize::MAX {
-                    level[c] = level[v] + 1;
-                    if width.len() <= level[c] {
-                        width.push(0);
-                    }
-                    width[level[c]] += 1;
-                    queue.push_back(c);
-                }
-            }
-        }
-        width.into_iter().max().unwrap_or(0)
-    }
-
     #[test]
     fn parallel_build_is_bit_identical_to_sequential() {
-        let wide = wide_register_system();
-        let seq = ConfigGraph::build(&wide, &ExploreOptions::default()).unwrap();
-        assert!(
-            widest_level(&seq) > PARALLEL_FRONTIER_MIN,
-            "the wide system must reach the multi-worker level path: {}",
-            widest_level(&seq)
-        );
-        for sys in [tas_race(), wide] {
+        for sys in [tas_race(), wide_register_system()] {
             let seq = ConfigGraph::build(&sys, &ExploreOptions::default()).unwrap();
             for threads in [2, 4, 8] {
                 let opts = ExploreOptions::default().with_threads(threads);
                 let par = ConfigGraph::build(&sys, &opts).unwrap();
-                // Coordinator-side interning makes even the node
-                // *numbering* thread-invariant, so whole graphs compare
-                // equal.
+                // A build runs on one thread whatever `threads` says,
+                // so even the node *numbering* is thread-invariant and
+                // whole graphs compare equal.
                 assert_eq!(format!("{par:?}"), format!("{seq:?}"));
             }
         }

@@ -58,7 +58,6 @@ pub mod graph;
 pub mod linearizability;
 pub mod pool;
 pub mod program;
-pub mod simulate;
 mod system;
 pub mod trace;
 

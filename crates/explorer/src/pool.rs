@@ -15,10 +15,24 @@ use std::time::Instant;
 use wfc_obs::metrics::Registry;
 use wfc_waitfree::ResultCell;
 
-/// Applies `f` to every item of `items` on up to `threads` workers,
+/// The worker count a `threads` knob resolves to: `0` means one per
+/// available core (one if that cannot be read), anything else is taken
+/// as given. [`parallel_map`] and
+/// [`ExploreOptions::effective_threads`](crate::ExploreOptions::effective_threads)
+/// both resolve through here, so `0` means the same everywhere.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
+/// Applies `f` to every item of `items` on up to `threads` workers
+/// (resolved by [`resolve_threads`], so `0` means one per core),
 /// returning the results in item order.
 ///
-/// `threads <= 1` runs inline on the calling thread with no overhead.
+/// One worker runs inline on the calling thread with no overhead.
 /// Otherwise `threads - 1` scoped threads are spawned and the caller
 /// joins them in claiming work. Work is claimed item-by-item from a
 /// shared atomic cursor, so uneven item costs (the trees of different
@@ -47,7 +61,8 @@ where
         reg.counter("pool.runs").add(1);
         reg.counter("pool.tasks").add(items.len() as u64);
     }
-    if threads <= 1 || items.len() <= 1 {
+    let threads = resolve_threads(threads);
+    if threads == 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
     // Per-item write-once cells: the cursor claims each item exactly
@@ -135,6 +150,24 @@ mod tests {
         let distinct: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(distinct.len(), 2, "{ids:?}");
         assert!(ids.contains(&caller), "the caller ran no item: {ids:?}");
+    }
+
+    #[test]
+    fn zero_threads_means_one_worker_per_core() {
+        // Each item waits until every core's worker has checked in, or
+        // until a shared deadline passes, so the test cannot hang: an
+        // inline run just checks in once and times out.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), cores);
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        parallel_map(0, &vec![(); cores], |_| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            while seen.lock().unwrap().len() < cores && Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        assert_eq!(seen.into_inner().unwrap().len(), cores);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! process — against every input vector and every schedule. Candidates
 //! are independent, so [`run`] fans them out across
 //! [`wfc_explorer::pool::parallel_map`] at `opts.effective_threads()`.
-//! Each inner exploration runs with `threads = 1`: the candidates'
-//! systems are far too small for the explorer's own frontier pool, and a
-//! pool nested inside a pool would only oversubscribe the cores.
+//! Each inner exploration runs with `threads = 1`, so nothing inside a
+//! candidate fans out again: a pool nested inside a pool would only
+//! oversubscribe the cores.
 //!
 //! Many candidates are the same protocol with the processes numbered
 //! differently. A [`Family`] declares the process relabellings it is
@@ -604,10 +604,7 @@ mod tests {
         S: Copy + std::fmt::Debug + Sync,
         B: Fn([S; N], [bool; N]) -> System + Sync,
     {
-        let threads = ExploreOptions::default()
-            .with_threads(0)
-            .effective_threads();
-        let mismatches = parallel_map(threads, which, |&i| {
+        let mismatches = parallel_map(0, which, |&i| {
             let c = family.candidate(i);
             for v in input_vectors::<N>() {
                 let original = shape(&(family.build)(c, v));

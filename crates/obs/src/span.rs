@@ -5,7 +5,7 @@
 //! and records its wall-clock duration into the *current thread's*
 //! buffer when the returned [`SpanGuard`] drops — no cross-thread
 //! synchronisation on the hot path. Buffers flush when their thread
-//! exits (scoped explorer workers exit before their spawner resumes)
+//! exits (scoped pool workers exit before their spawner resumes)
 //! and when [`drain`] runs on the calling thread.
 //!
 //! ## The wait-free flush path

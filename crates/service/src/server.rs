@@ -90,7 +90,7 @@ pub struct ServeConfig {
     pub max_configs_limit: usize,
     /// Upper clamp on a request's `max_depth`.
     pub max_depth_limit: usize,
-    /// Upper clamp on a request's explorer `threads`.
+    /// Upper clamp on a request's fan-out width, `threads`.
     pub max_threads_limit: usize,
     /// Per-request wall-clock deadline; `None` disables the reaper.
     pub request_timeout: Option<Duration>,

@@ -288,7 +288,10 @@ pub struct QueryOptions {
     pub max_configs: usize,
     /// Maximum execution-tree depth per exploration.
     pub max_depth: usize,
-    /// Explorer threads *within* one request (clamped by the server).
+    /// Fan-out width within one request: the workers its independent
+    /// explorations (execution trees, sweep candidates) are spread
+    /// across; each exploration runs on one thread. Clamped by the
+    /// server.
     pub threads: usize,
 }
 
@@ -316,7 +319,7 @@ impl QueryOptions {
         self
     }
 
-    /// This configuration with `threads` explorer workers.
+    /// This configuration with a fan-out width of `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -53,7 +53,7 @@ use wfc_spec::FiniteType;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs\n    --threads N           explorer workers\n\n  Each subcommand accepts only the flags listed for it; any other flag\n  is an error."
+        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs\n    --threads N           workers for independent explorations\n\n  Each subcommand accepts only the flags listed for it; any other flag\n  is an error."
     );
     ExitCode::from(2)
 }
