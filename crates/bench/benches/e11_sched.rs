@@ -1,11 +1,12 @@
 //! E11 — the `wfc-sched` model checker: schedules per second, DFS
 //! versus PCT, on the 1-write/2-read SRSW conversation.
 //!
-//! Each schedule is one from-scratch execution carried by real OS
-//! threads handshaking through a mutex/condvar, so the dominant cost is
-//! context switching, not the register code under test. The throughput
-//! lines therefore read as schedules/second, which is the number that
-//! decides what budgets CI smoke runs can afford. Expected shape:
+//! Each schedule is one from-scratch execution whose virtual threads
+//! are fibers on the benchmarking thread (on x86_64 Linux; other
+//! targets hand a baton between OS threads), so a step costs a stack
+//! switch plus the register code under test. The throughput lines read
+//! as schedules/second, which is the number that decides what budgets
+//! CI smoke runs can afford. Expected shape:
 //! sleep-set DFS explores fewer schedules than plain DFS for the same
 //! verdict, and PCT's cost is linear in its configured run count.
 

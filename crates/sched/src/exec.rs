@@ -1,37 +1,38 @@
-//! The cooperative execution engine: virtual threads carried by pooled
-//! OS threads, with strictly one runnable at a time.
+//! The cooperative execution engine: virtual threads resumed one at a
+//! time by a scheduler loop on the thread that runs the execution.
 //!
 //! The engine is loom/shuttle-style *stateless* model checking: every
 //! schedule is executed from scratch. A virtual thread runs real fixture
 //! code; each shared access (through the shim cells of [`crate::shim`])
-//! **announces** itself — cell id plus read/write kind — and blocks. A
-//! thread is *settled* once it has announced or its body has returned.
+//! **announces** itself — cell id plus read/write kind — and suspends
+//! back to the scheduler. A thread is *settled* once it has announced or
+//! its body has returned.
 //!
-//! **Direct handoff: the last thread to settle decides.** There is no
-//! scheduling thread. Whichever virtual thread settles last — the one
-//! that announces, or the one whose body returns — runs the active
-//! [`Decider`] itself, under the engine lock, and grants one enabled
-//! thread. If it grants itself it carries on with no syscall at all;
-//! otherwise it wakes only the chosen thread's own slot condvar (one per
-//! thread, all sharing the engine mutex) and parks on its own. The
-//! granted thread performs its value operation **while still holding the
-//! engine lock** before running on to its next announce. Performing the
-//! operation under the lock closes the race where the next granted
-//! thread could read a cell before the previous grantee's write landed;
-//! because a choice is only made once every thread is settled, every
-//! enabled thread's pending access is known at each choice point, which
-//! is what the sleep-set pruning in [`crate::explore`] needs. The
-//! controller — the thread that called `explore` — builds the execution,
-//! hands the thread bodies to the pool and then only waits for
-//! "execution done". The decider is moved into the execution state for
-//! the run and handed back to the controller afterwards.
+//! **One scheduler loop.** [`run_one`] builds the execution, then
+//! resumes every virtual thread once, so each runs to its first
+//! announce (or to its end). From then on it asks the [`Decider`] for
+//! one enabled thread and resumes it: the grantee performs its value
+//! operation, runs on to its next announce, and suspends again. Because
+//! a choice is only made while every thread is settled, every enabled
+//! thread's pending access is known at each choice point, which is what
+//! the sleep-set pruning in [`crate::explore`] needs; because only the
+//! resumed thread runs, a granted access can never race another. The
+//! loop ends when no thread is enabled.
+//!
+//! **Carriers.** Where a virtual thread runs is the [`Carrier`]'s
+//! business (see [`crate::fiber`]): on x86_64 Linux every virtual thread
+//! is a fiber on the calling OS thread, so a step costs a stack switch
+//! and no syscall; other targets pass a baton between OS threads behind
+//! the same resume/suspend calls. The [`CURRENT`] thread-local names the
+//! running virtual thread after every switch, so a shim cell touched
+//! from any other OS thread still finds no execution and panics.
 //!
 //! **Aborts take the same path.** When the step cap trips, every enabled
-//! thread is spin-blocked (a livelock), or the decider rejects a step,
-//! the settler instead grants the lowest pending thread, which unwinds
-//! via [`ABORT_MSG`] rather than performing its access; as it finishes
-//! it is the last settler again and grants the next, until no thread is
-//! left and the pool is reusable.
+//! thread is spin-blocked (a livelock), the decider rejects a step, or
+//! the decider panics, the loop instead resumes the lowest pending
+//! thread, which unwinds via [`ABORT_MSG`] rather than performing its
+//! access, until no thread is left. A decider panic is re-raised only
+//! then, so no carrier is torn down under a live virtual thread.
 //!
 //! **Spin detection.** A retry loop (the seqlock reader, a writer
 //! waiting out an odd counter) re-reads the same cell until another
@@ -55,10 +56,9 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::fiber::{Carrier, Resumed};
 use crate::schedule::Schedule;
 
 /// Panic payload used to unwind virtual threads when an execution is
@@ -160,11 +160,6 @@ pub(crate) struct ExecState {
     pending: [Option<Access>; MAX_THREADS],
     /// Virtual threads in the execution.
     threads: usize,
-    /// Virtual threads not yet settled; the one that brings this to
-    /// zero makes the next choice.
-    running: usize,
-    /// The thread currently holding the grant, if any.
-    granted: Option<usize>,
     /// Monotone step counter: bumps at every granted access and every
     /// controller-context access, so it doubles as the logical clock
     /// behind [`crate::OpLog`] timestamps.
@@ -177,16 +172,11 @@ pub(crate) struct ExecState {
     /// Per-thread granted access before `last` (spin detection needs
     /// two consecutive repeats).
     last2: [Option<(Access, u64)>; MAX_THREADS],
-    /// First panic message from a virtual thread, if any.
-    panic: Option<String>,
-    /// When set, granted threads unwind instead of running.
+    /// When set, resumed threads unwind instead of running.
     abort: bool,
-    /// Every thread has finished; the controller may collect.
-    done: bool,
     next_cell: u32,
-    /// The run's decider, owned by the execution until it is done.
-    decider: Option<Box<dyn Decider>>,
-    /// A panic raised by the decider, re-raised on the controller.
+    /// A panic raised by the decider, re-raised once every thread has
+    /// unwound.
     decider_panic: Option<Box<dyn Any + Send>>,
     /// The per-execution step cap.
     max_steps: u64,
@@ -214,9 +204,9 @@ impl ExecState {
         }
     }
 
-    /// Asks the decider for the next step and records it. `None` means
+    /// Asks `decider` for the next step and records it. `None` means
     /// the execution must be abandoned; the reason is already recorded.
-    fn choose(&mut self, enabled: ThreadSet) -> Option<usize> {
+    fn choose(&mut self, enabled: ThreadSet, decider: &mut dyn Decider) -> Option<usize> {
         let choosable: ThreadSet = enabled.iter().filter(|&t| !self.spin_blocked(t)).collect();
         if choosable.is_empty() {
             // Every enabled thread is spinning on a cell nobody will
@@ -230,7 +220,6 @@ impl ExecState {
             self.outcome.aborted = true;
             return None;
         }
-        let decider = self.decider.as_mut().expect("the decider is in place");
         let pending = &self.pending[..self.threads];
         let (step, prev) = (self.outcome.schedule.len(), self.prev);
         let chosen = match catch_unwind(AssertUnwindSafe(|| {
@@ -264,25 +253,23 @@ impl ExecState {
 }
 
 pub(crate) struct ExecCtx {
+    /// Touched by one virtual thread or the scheduler at a time; the
+    /// lock is never contended, and never held across a switch.
     state: Mutex<ExecState>,
-    /// One condvar per virtual thread: a grant wakes only its grantee.
-    slots: [Condvar; MAX_THREADS],
-    /// Signalled once, when the last thread finishes.
-    done: Condvar,
+    /// The carrier's [`Carrier::suspend`].
+    suspend: fn(),
 }
 
-/// Locks tolerantly: a virtual thread that panics between announce and
-/// grant consumption can poison the mutex; the state itself stays
-/// consistent because every mutation completes before any panic.
+/// Locks tolerantly: a value operation that panics under the lock
+/// poisons the mutex, but every mutation of the state completes before
+/// any panic, so the state itself stays consistent.
 fn lock(m: &Mutex<ExecState>) -> MutexGuard<'_, ExecState> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, ExecState>) -> MutexGuard<'a, ExecState> {
-    cv.wait(st).unwrap_or_else(|e| e.into_inner())
-}
-
 thread_local! {
+    /// The execution and virtual thread (or [`CONTROLLER`]) this OS
+    /// thread is running.
     static CURRENT: RefCell<Option<(Arc<ExecCtx>, usize)>> = const { RefCell::new(None) };
 }
 
@@ -292,43 +279,46 @@ pub(crate) fn current() -> Option<(Arc<ExecCtx>, usize)> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-struct TlsGuard;
+/// Restores the previous [`CURRENT`] when dropped.
+struct TlsGuard(Option<(Arc<ExecCtx>, usize)>);
 
 fn set_current(ctx: Arc<ExecCtx>, tid: usize) -> TlsGuard {
-    CURRENT.with(|c| *c.borrow_mut() = Some((ctx, tid)));
-    TlsGuard
+    TlsGuard(CURRENT.with(|c| c.borrow_mut().replace((ctx, tid))))
 }
 
 impl Drop for TlsGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = None);
+        CURRENT.with(|c| *c.borrow_mut() = self.0.take());
     }
 }
 
+/// Renames the running thread within the current execution.
+fn set_tid(tid: usize) {
+    CURRENT.with(|c| {
+        if let Some((_, current)) = c.borrow_mut().as_mut() {
+            *current = tid;
+        }
+    });
+}
+
 impl ExecCtx {
-    fn new(decider: Box<dyn Decider>, max_steps: u64) -> ExecCtx {
+    fn new(max_steps: u64, suspend: fn()) -> ExecCtx {
         ExecCtx {
             state: Mutex::new(ExecState {
                 pending: [None; MAX_THREADS],
                 threads: 0,
-                running: 0,
-                granted: None,
                 step: 0,
                 versions: Vec::new(),
                 last: [None; MAX_THREADS],
                 last2: [None; MAX_THREADS],
-                panic: None,
                 abort: false,
-                done: false,
                 next_cell: 0,
-                decider: Some(decider),
                 decider_panic: None,
                 max_steps,
                 prev: None,
                 outcome: RunResult::default(),
             }),
-            slots: [const { Condvar::new() }; MAX_THREADS],
-            done: Condvar::new(),
+            suspend,
         }
     }
 
@@ -342,10 +332,10 @@ impl ExecCtx {
         id
     }
 
-    /// Performs one shared access: announce, wait for the grant, run the
-    /// value operation under the engine lock, and continue. `op`
-    /// receives the step number of the grant (the logical clock) and
-    /// reports whether it modified the cell.
+    /// Performs one shared access: announce, suspend until granted, run
+    /// the value operation, and continue. `op` receives the step number
+    /// of the grant (the logical clock) and reports whether it modified
+    /// the cell.
     pub(crate) fn access<R>(
         self: &Arc<Self>,
         cell: u32,
@@ -366,17 +356,15 @@ impl ExecCtx {
                 "sched cell accessed outside an execution; shim cells only work under \
                  wfc_sched::explore or wfc_sched::replay",
             );
+        if me != CONTROLLER {
+            lock(&self.state).pending[me] = Some(Access { cell, kind });
+            (self.suspend)();
+        }
         let mut st = lock(&self.state);
         if me != CONTROLLER {
-            let access = Access { cell, kind };
-            st.pending[me] = Some(access);
-            self.settle(&mut st, me);
-            while st.granted != Some(me) {
-                st = wait(&self.slots[me], st);
-            }
-            st.granted = None;
-            st.pending[me] = None;
-            st.running += 1;
+            let access = st.pending[me]
+                .take()
+                .expect("a resumed thread has announced");
             if st.abort {
                 drop(st);
                 // resume_unwind skips the panic hook: an abort is engine
@@ -393,40 +381,6 @@ impl ExecCtx {
             st.versions[cell as usize] += 1;
         }
         r
-    }
-
-    /// Marks one virtual thread settled (announced or finished, already
-    /// recorded by the caller). The last one to settle makes the choice.
-    fn settle(&self, st: &mut ExecState, me: usize) {
-        st.running -= 1;
-        if st.running == 0 {
-            self.decide(st, me);
-        }
-    }
-
-    /// Runs the choice point once every thread is settled: grants the
-    /// decider's pick, or in abort mode the lowest pending thread, or
-    /// signals the controller when no thread is left. `me` is the
-    /// settler making the choice.
-    fn decide(&self, st: &mut ExecState, me: usize) {
-        let enabled = st.enabled();
-        let Some(lowest) = enabled.first() else {
-            st.done = true;
-            self.done.notify_one();
-            return;
-        };
-        let chosen = if st.abort {
-            lowest
-        } else if let Some(t) = st.choose(enabled) {
-            t
-        } else {
-            st.abort = true;
-            lowest
-        };
-        st.granted = Some(chosen);
-        if chosen != me {
-            self.slots[chosen].notify_one();
-        }
     }
 }
 
@@ -454,11 +408,10 @@ pub(crate) struct RunResult {
     pub schedule: Schedule,
     pub steps: u64,
     pub preemptions: u32,
-    /// Grants that switched to a different thread than the previous
-    /// grantee (a targeted wake); the first grant of a run counts here.
+    /// Grants that switched to a different virtual thread than the
+    /// previous grantee; the first grant of a run counts here.
     pub handoffs: u64,
-    /// Grants that went back to the previous grantee, which carried on
-    /// without a syscall.
+    /// Grants that went back to the previous grantee.
     pub self_grants: u64,
     /// Thread panic or failed post-check.
     pub violation: Option<String>,
@@ -468,10 +421,8 @@ pub(crate) struct RunResult {
     pub decider_error: Option<String>,
 }
 
-/// Chooses the next thread at each settled choice point. It runs on
-/// whichever virtual thread settled last, so it must be `Send`, and it
-/// is handed back to the caller of [`run_one`] after the run.
-pub(crate) trait Decider: Any + Send {
+/// Chooses the next thread at each settled choice point.
+pub(crate) trait Decider {
     /// Picks among `choosable` (enabled and not spin-blocked; never
     /// empty). `enabled` additionally holds spin-blocked threads;
     /// returning one of those is allowed (replay follows recorded
@@ -486,67 +437,6 @@ pub(crate) trait Decider: Any + Send {
     ) -> Result<usize, String>;
 }
 
-/// A pool of OS threads carrying virtual threads, reused across the many
-/// executions of an exploration (spawning per schedule would dominate
-/// the runtime).
-pub(crate) struct Pool {
-    workers: Vec<Worker>,
-}
-
-struct Worker {
-    tx: Option<Sender<Box<dyn FnOnce() + Send + 'static>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Pool {
-    pub(crate) fn new() -> Pool {
-        Pool {
-            workers: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, n: usize) {
-        while self.workers.len() < n {
-            let (tx, rx) = std::sync::mpsc::channel::<Box<dyn FnOnce() + Send + 'static>>();
-            let handle = std::thread::Builder::new()
-                .name(format!("wfc-sched-{}", self.workers.len()))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn sched pool worker");
-            self.workers.push(Worker {
-                tx: Some(tx),
-                handle: Some(handle),
-            });
-        }
-    }
-
-    fn submit(&mut self, slot: usize, job: Box<dyn FnOnce() + Send + 'static>) {
-        self.ensure(slot + 1);
-        self.workers[slot]
-            .tx
-            .as_ref()
-            .expect("pool worker sender live")
-            .send(job)
-            .expect("pool worker alive");
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.tx = None; // close the channel; the worker loop exits
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -557,15 +447,15 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Runs one execution of `build`'s scenario under `decider`, and hands
-/// the decider back with the result.
-pub(crate) fn run_one<D: Decider>(
-    pool: &mut Pool,
+/// Runs one execution of `build`'s scenario on `carrier` under
+/// `decider`.
+pub(crate) fn run_one<C: Carrier>(
+    carrier: &mut C,
     build: &mut dyn FnMut() -> Execution,
-    decider: D,
+    decider: &mut dyn Decider,
     max_steps: u64,
-) -> (RunResult, D) {
-    let ctx = Arc::new(ExecCtx::new(Box::new(decider), max_steps));
+) -> RunResult {
+    let ctx = Arc::new(ExecCtx::new(max_steps, C::suspend));
     let _tls = set_current(Arc::clone(&ctx), CONTROLLER);
     let execution = build();
     let n = execution.threads.len();
@@ -573,42 +463,57 @@ pub(crate) fn run_one<D: Decider>(
         n <= MAX_THREADS,
         "at most 36 virtual threads (schedule encoding)"
     );
-    {
-        let mut st = lock(&ctx.state);
-        st.threads = n;
-        st.running = n;
-        if n == 0 {
-            ctx.decide(&mut st, CONTROLLER);
-        }
-    }
+    lock(&ctx.state).threads = n;
     for (tid, body) in execution.threads.into_iter().enumerate() {
         let ctx = Arc::clone(&ctx);
-        pool.submit(
+        carrier.start(
             tid,
             Box::new(move || {
-                let tls = set_current(Arc::clone(&ctx), tid);
-                let outcome = catch_unwind(AssertUnwindSafe(body));
-                drop(tls);
-                let mut st = lock(&ctx.state);
-                if let Err(payload) = outcome {
-                    let msg = panic_message(payload);
-                    if msg != ABORT_MSG && st.panic.is_none() {
-                        st.panic = Some(format!("virtual thread {tid} panicked: {msg}"));
-                    }
-                }
-                ctx.settle(&mut st, tid);
+                let _tls = set_current(ctx, tid);
+                body();
             }),
         );
     }
 
-    let mut st = lock(&ctx.state);
-    while !st.done {
-        st = wait(&ctx.done, st);
+    // The first panic message of a virtual thread, if any.
+    let mut panic = None;
+    let mut resume = |tid: usize| {
+        set_tid(tid);
+        let resumed = carrier.resume(tid);
+        set_tid(CONTROLLER);
+        if let Resumed::Finished(Err(payload)) = resumed {
+            let msg = panic_message(payload);
+            if msg != ABORT_MSG && panic.is_none() {
+                panic = Some(format!("virtual thread {tid} panicked: {msg}"));
+            }
+        }
+    };
+    // Every thread runs to its first announce before the first choice.
+    for tid in 0..n {
+        resume(tid);
     }
+    loop {
+        let chosen = {
+            let mut st = lock(&ctx.state);
+            let enabled = st.enabled();
+            let Some(lowest) = enabled.first() else {
+                break;
+            };
+            if st.abort {
+                lowest
+            } else if let Some(t) = st.choose(enabled, decider) {
+                t
+            } else {
+                st.abort = true;
+                lowest
+            }
+        };
+        resume(chosen);
+    }
+
+    let mut st = lock(&ctx.state);
     let mut result = std::mem::take(&mut st.outcome);
-    let panic = st.panic.take();
     let decider_panic = st.decider_panic.take();
-    let decider = st.decider.take().expect("the decider is handed back");
     drop(st);
     if let Some(payload) = decider_panic {
         std::panic::resume_unwind(payload);
@@ -619,7 +524,60 @@ pub(crate) fn run_one<D: Decider>(
     if result.violation.is_none() && !result.aborted && result.decider_error.is_none() {
         result.violation = (execution.check)();
     }
-    let decider: Box<dyn Any> = decider;
-    let decider = *decider.downcast::<D>().expect("the decider keeps its type");
-    (result, decider)
+    result
+}
+
+#[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::{run_one, Access, Decider, ThreadSet};
+    use crate::explore::{explore_on, Mode, SchedOptions};
+    use crate::fiber::{Fibers, Threads};
+    use crate::fixtures;
+
+    struct PanickingDecider;
+
+    impl Decider for PanickingDecider {
+        fn choose(
+            &mut self,
+            _: usize,
+            _: ThreadSet,
+            _: ThreadSet,
+            _: &[Option<Access>],
+            _: Option<usize>,
+        ) -> Result<usize, String> {
+            panic!("decider boom")
+        }
+    }
+
+    #[test]
+    fn a_decider_panic_is_re_raised_after_every_fiber_has_unwound() {
+        let mut carrier = Fibers::default();
+        let mut build = fixtures::build("srsw").expect("fixture exists");
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            run_one(&mut carrier, &mut build, &mut PanickingDecider, 100)
+        }))
+        .expect_err("the decider's panic is re-raised");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"decider boom"));
+        // A fiber still live would refuse to start again.
+        let found = explore_on(&mut carrier, &SchedOptions::default(), build).expect("explores");
+        assert_eq!(found.schedules, 187);
+    }
+
+    /// The portable carrier is the only one on other targets; here it
+    /// must take exactly the schedules the fibers take.
+    #[test]
+    fn fibers_and_threads_explore_bit_for_bit_alike() {
+        let options = SchedOptions::default().with_mode(Mode::Exhaustive { sleep_sets: true });
+        for target in ["srsw", "broken"] {
+            let build = || fixtures::build(target).expect("fixture exists");
+            let on_fibers =
+                explore_on(&mut Fibers::default(), &options, build()).expect("explores");
+            let on_threads =
+                explore_on(&mut Threads::default(), &options, build()).expect("explores");
+            assert!(on_fibers.schedules > 1, "{target}: {on_fibers:?}");
+            assert_eq!(on_fibers, on_threads, "{target}");
+        }
+    }
 }

@@ -29,7 +29,8 @@ use std::fmt;
 use wfc_spec::control::{Budget, CancelToken, Progress};
 use wfc_spec::prng::SplitMix64;
 
-use crate::exec::{self, Access, Decider, Execution, Pool, RunResult, ThreadSet};
+use crate::exec::{self, Access, Decider, Execution, RunResult, ThreadSet};
+use crate::fiber::{Carrier, Native};
 use crate::schedule::Schedule;
 
 /// Which exploration strategy to run.
@@ -208,14 +209,22 @@ pub struct Exploration {
 /// same thread bodies) — the replay guarantees depend on it.
 pub fn explore<F: FnMut() -> Execution>(
     options: &SchedOptions,
+    build: F,
+) -> Result<Exploration, SchedError> {
+    explore_on(&mut Native::default(), options, build)
+}
+
+/// [`explore`] with its virtual threads on `carrier`.
+pub(crate) fn explore_on<C: Carrier, F: FnMut() -> Execution>(
+    carrier: &mut C,
+    options: &SchedOptions,
     mut build: F,
 ) -> Result<Exploration, SchedError> {
-    let mut pool = Pool::new();
     let mut stats = Exploration::default();
     match options.mode {
         Mode::Exhaustive { sleep_sets } => {
             stats.rounds = 1;
-            let bounded = dfs(options, &mut pool, &mut build, None, sleep_sets, &mut stats)?;
+            let bounded = dfs(options, carrier, &mut build, None, sleep_sets, &mut stats)?;
             debug_assert!(!bounded);
             if stats.counterexample.is_none() {
                 stats.complete = true;
@@ -224,7 +233,7 @@ pub fn explore<F: FnMut() -> Execution>(
         Mode::Preemption { max_preemptions } => {
             for k in 0..=max_preemptions {
                 stats.rounds += 1;
-                let bounded = dfs(options, &mut pool, &mut build, Some(k), false, &mut stats)?;
+                let bounded = dfs(options, carrier, &mut build, Some(k), false, &mut stats)?;
                 if stats.counterexample.is_some() {
                     break;
                 }
@@ -242,8 +251,8 @@ pub fn explore<F: FnMut() -> Execution>(
             for _ in 0..runs {
                 poll(options, &stats)?;
                 stats.rounds += 1;
-                let decider = PctDecider::new(&mut rng, depth, horizon);
-                let (res, _) = exec::run_one(&mut pool, &mut build, decider, options.budget.steps);
+                let mut decider = PctDecider::new(&mut rng, depth, horizon);
+                let res = exec::run_one(carrier, &mut build, &mut decider, options.budget.steps);
                 if res.aborted {
                     return Err(SchedError::StepLimit {
                         limit: options.budget.steps,
@@ -317,11 +326,15 @@ pub fn replay<F: FnMut() -> Execution>(
     schedule: &Schedule,
     mut build: F,
 ) -> Result<Replayed, SchedError> {
-    let mut pool = Pool::new();
-    let decider = ReplayDecider {
-        schedule: schedule.choices().to_vec(),
+    let mut decider = ReplayDecider {
+        schedule: schedule.choices(),
     };
-    let (res, _) = exec::run_one(&mut pool, &mut build, decider, schedule.len() as u64 + 1);
+    let res = exec::run_one(
+        &mut Native::default(),
+        &mut build,
+        &mut decider,
+        schedule.len() as u64 + 1,
+    );
     if let Some(msg) = res.decider_error {
         return Err(SchedError::Replay(msg));
     }
@@ -357,9 +370,9 @@ type Branch = (Vec<u8>, Vec<(usize, Access)>);
 
 /// One DFS pass. Returns `true` if the preemption bound suppressed at
 /// least one alternative (the pass under-approximates the tree).
-fn dfs<F: FnMut() -> Execution>(
+fn dfs<C: Carrier, F: FnMut() -> Execution>(
     options: &SchedOptions,
-    pool: &mut Pool,
+    carrier: &mut C,
     build: &mut F,
     preemption_bound: Option<u32>,
     sleep_sets: bool,
@@ -369,7 +382,7 @@ fn dfs<F: FnMut() -> Execution>(
     let mut stack: Vec<Branch> = vec![(Vec::new(), Vec::new())];
     while let Some((prefix, sleep)) = stack.pop() {
         poll(options, stats)?;
-        let decider = DfsDecider {
+        let mut decider = DfsDecider {
             replayed: prefix.len(),
             path: prefix,
             sleep,
@@ -381,7 +394,7 @@ fn dfs<F: FnMut() -> Execution>(
             pruned: 0,
             siblings: Vec::new(),
         };
-        let (res, decider) = exec::run_one(pool, build, decider, options.budget.steps);
+        let res = exec::run_one(carrier, build, &mut decider, options.budget.steps);
         if let Some(msg) = res.decider_error {
             // A prefix generated by a previous run must replay cleanly;
             // failure means the scenario is not deterministic.
@@ -598,11 +611,11 @@ impl Decider for PctDecider {
 }
 
 /// Replay decider: the recorded schedule, verbatim.
-struct ReplayDecider {
-    schedule: Vec<u8>,
+struct ReplayDecider<'a> {
+    schedule: &'a [u8],
 }
 
-impl Decider for ReplayDecider {
+impl Decider for ReplayDecider<'_> {
     fn choose(
         &mut self,
         step: usize,

@@ -39,9 +39,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod exec;
 pub mod explore;
+mod fiber;
 pub mod fixtures;
 mod log;
 pub mod query;

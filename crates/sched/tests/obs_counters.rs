@@ -1,6 +1,6 @@
-//! The executor's handoff counters: `sched.handoffs` (a grant that woke
-//! a different thread) and `sched.self_grants` (a grant back to the
-//! thread that just settled, which carries on without a syscall).
+//! The executor's handoff counters: `sched.handoffs` (a grant that
+//! switches to a different virtual thread than the previous grantee)
+//! and `sched.self_grants` (a grant back to the previous grantee).
 //!
 //! They split every scheduled step between them, repeat exactly from
 //! run to run, and — like every other `wfc_obs` site — register nothing
