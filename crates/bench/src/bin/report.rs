@@ -1,32 +1,27 @@
-//! `wfc-report` — regenerate every experiment table in EXPERIMENTS.md.
+//! `report` — regenerate every experiment table in EXPERIMENTS.md.
 //!
 //! The paper is pure theory (no measured tables of its own); this report
 //! is the quantitative record of its constructions: execution-tree
 //! depths, access bounds, one-use-bit costs, witness lengths, transform
-//! blow-ups, hierarchy values and valency statistics. Timings are
-//! measured by the Criterion benches (`cargo bench`); this binary checks
-//! and prints the *functional* numbers.
+//! blow-ups, hierarchy values and valency statistics. It checks and
+//! prints the *functional* numbers; the end-to-end benchmark
+//! (`wfc-bench/` at the repository root) measures performance.
 //!
-//! Run with: `cargo run --release --bin wfc-report`
+//! Run with: `cargo run --release -p wfc-bench --bin report`
 //!
 //! Modes:
-//! - no arguments — regenerate the tables, then print the bench
-//!   trajectory from any `BENCH_*.json` run reports found in the
-//!   observability directory (`WFC_OBS_JSON`, default `obs-reports`).
-//!   Missing or empty directories are reported, not fatal.
-//! - `--check [dir]` — validate every `.json` file in `dir` against the
-//!   `wfc-obs/v1` schema and exit non-zero if any is invalid. Used by CI
-//!   after a `WFC_OBS_JSON=… cargo bench` smoke run.
-//! - `--diff <dirA> <dirB>` — side-by-side bench trajectory of two
-//!   report directories with percent deltas on the medians; benchmarks
-//!   present in only one directory are marked `new`/`gone`. Compares
-//!   two recorded runs (e.g. before/after an optimisation).
+//! - no arguments — regenerate the tables and re-check their
+//!   invariants. With `WFC_OBS=1 WFC_OBS_JSON=dir` the traced engine
+//!   calls also write their run reports to `dir`.
+//! - `--check [dir]` — validate every `.json` file in `dir` (default
+//!   `WFC_OBS_JSON`, else `obs-reports`) against its schema and exit
+//!   non-zero if any is invalid. Used by CI after the smoke runs that
+//!   record reports.
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use wfc_bench::harness::fmt_ns;
 use wfc_bench::{register_protocols, substrates, witness_types};
 use wfc_consensus as consensus;
 use wfc_core as core;
@@ -36,30 +31,25 @@ use wfc_hierarchy as hierarchy;
 use wfc_spec::witness::find_witness;
 use wfc_spec::{canonical, triviality};
 
-/// Where bench run reports are read from: `WFC_OBS_JSON` if set, else
-/// the conventional `obs-reports` directory.
+/// Where run reports are read from: `WFC_OBS_JSON` if set, else the
+/// conventional `obs-reports` directory.
 fn obs_reports_dir() -> PathBuf {
     std::env::var_os("WFC_OBS_JSON")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("obs-reports"))
 }
 
-/// The `.json` files under `dir` whose names match `prefix`, sorted for
-/// deterministic output. Missing or unreadable directories yield an
-/// empty list — callers decide whether that is an error.
-fn json_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+/// The `.json` files under `dir`, sorted for deterministic output.
+/// Missing or unreadable directories yield an empty list — callers
+/// decide whether that is an error.
+fn json_files(dir: &Path) -> Vec<PathBuf> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
     let mut files: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| {
-            p.extension().is_some_and(|ext| ext == "json")
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(prefix))
-        })
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     files.sort();
     files
@@ -78,7 +68,7 @@ fn json_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
 /// `deadline-exceeded` errors, whose `budget`/`used`/`resource`/
 /// `partial` shape the wire validator enforces) go to the response
 /// validator, anything else must be a `wfc-obs/v1` run report.
-fn load_report(path: &Path) -> Result<wfc_obs::json::Json, String> {
+fn validate_report(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let doc = wfc_obs::json::parse(&text).map_err(|e| e.to_string())?;
     if doc.get("schema").and_then(|s| s.as_str()) == Some(wfc_service::CACHE_SCHEMA) {
@@ -94,7 +84,7 @@ fn load_report(path: &Path) -> Result<wfc_obs::json::Json, String> {
     } else {
         wfc_obs::report::validate(&doc)?;
     }
-    Ok(doc)
+    Ok(())
 }
 
 /// `--check [dir]`: every `.json` file in `dir` must be a valid
@@ -111,14 +101,14 @@ fn check_reports(dir: &Path) -> Result<(), Box<dyn Error>> {
         )
         .into());
     }
-    let files = json_files(dir, "");
+    let files = json_files(dir);
     if files.is_empty() {
         return Err(format!("--check: no .json reports in {}", dir.display()).into());
     }
     let mut invalid = 0usize;
     for path in &files {
-        match load_report(path) {
-            Ok(_) => println!("ok      {}", path.display()),
+        match validate_report(path) {
+            Ok(()) => println!("ok      {}", path.display()),
             Err(e) => {
                 eprintln!("INVALID {}: {e}", path.display());
                 invalid += 1;
@@ -132,144 +122,6 @@ fn check_reports(dir: &Path) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Prints the bench trajectory from `BENCH_*.json` run reports, or a
-/// pointer on how to record them when none exist yet.
-fn print_bench_trajectory(dir: &Path) {
-    println!();
-    println!("==================================================================");
-    println!(" Bench trajectory ({}/BENCH_*.json)", dir.display());
-    println!("==================================================================");
-    let files = json_files(dir, "BENCH_");
-    if files.is_empty() {
-        println!(
-            "no bench reports found — record them with \
-             `WFC_OBS_JSON={} cargo bench -p wfc-bench`",
-            dir.display()
-        );
-        return;
-    }
-    println!(
-        "{:<20} {:<44} {:>12} {:>12} {:>12} {:>8}",
-        "group", "benchmark", "lo", "median", "hi", "samples"
-    );
-    for path in &files {
-        let doc = match load_report(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                println!("(skipping {}: {e})", path.display());
-                continue;
-            }
-        };
-        let Some(bench) = doc.get("sections").and_then(|s| s.get("bench")) else {
-            println!("(skipping {}: no bench section)", path.display());
-            continue;
-        };
-        let group = bench.get("group").and_then(|j| j.as_str()).unwrap_or("?");
-        let results = bench
-            .get("results")
-            .and_then(|j| j.as_arr())
-            .unwrap_or_default();
-        if results.is_empty() {
-            println!("{group:<20} (no results recorded)");
-            continue;
-        }
-        for r in results {
-            println!(
-                "{:<20} {:<44} {:>12} {:>12} {:>12} {:>8}",
-                group,
-                r.get("id").and_then(|j| j.as_str()).unwrap_or("?"),
-                fmt_ns(r.get("lo_ns").and_then(|j| j.as_f64()).unwrap_or(0.0)),
-                fmt_ns(r.get("median_ns").and_then(|j| j.as_f64()).unwrap_or(0.0)),
-                fmt_ns(r.get("hi_ns").and_then(|j| j.as_f64()).unwrap_or(0.0)),
-                r.get("samples").and_then(|j| j.as_u64()).unwrap_or(0),
-            );
-        }
-    }
-}
-
-/// `group/benchmark → (lo_ns, median_ns, hi_ns)` across every
-/// `BENCH_*.json` report in `dir`; later files win on a duplicate id.
-fn collect_bench_results(dir: &Path) -> std::collections::BTreeMap<String, (f64, f64, f64)> {
-    let mut out = std::collections::BTreeMap::new();
-    for path in json_files(dir, "BENCH_") {
-        let Ok(doc) = load_report(&path) else {
-            eprintln!("(skipping unreadable {})", path.display());
-            continue;
-        };
-        let Some(bench) = doc.get("sections").and_then(|s| s.get("bench")) else {
-            continue;
-        };
-        let group = bench.get("group").and_then(|j| j.as_str()).unwrap_or("?");
-        for r in bench
-            .get("results")
-            .and_then(|j| j.as_arr())
-            .unwrap_or_default()
-        {
-            let id = r.get("id").and_then(|j| j.as_str()).unwrap_or("?");
-            out.insert(
-                format!("{group}/{id}"),
-                (
-                    r.get("lo_ns").and_then(|j| j.as_f64()).unwrap_or(0.0),
-                    r.get("median_ns").and_then(|j| j.as_f64()).unwrap_or(0.0),
-                    r.get("hi_ns").and_then(|j| j.as_f64()).unwrap_or(0.0),
-                ),
-            );
-        }
-    }
-    out
-}
-
-/// `--diff <dirA> <dirB>`: the two trajectories side by side, with the
-/// median's percent change (negative = B is faster).
-fn diff_reports(dir_a: &Path, dir_b: &Path) -> Result<(), Box<dyn Error>> {
-    let a = collect_bench_results(dir_a);
-    let b = collect_bench_results(dir_b);
-    if a.is_empty() && b.is_empty() {
-        return Err(format!(
-            "--diff: no BENCH_*.json reports in {} or {}",
-            dir_a.display(),
-            dir_b.display()
-        )
-        .into());
-    }
-    println!(
-        "bench trajectory diff: A = {}, B = {}",
-        dir_a.display(),
-        dir_b.display()
-    );
-    println!(
-        "{:<56} {:>12} {:>12} {:>9}",
-        "benchmark", "A median", "B median", "delta"
-    );
-    let ids: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    for id in ids {
-        match (a.get(id), b.get(id)) {
-            (Some(&(_, ma, _)), Some(&(_, mb, _))) => {
-                let delta = if ma > 0.0 {
-                    format!("{:+.1}%", (mb - ma) / ma * 100.0)
-                } else {
-                    "n/a".to_owned()
-                };
-                println!(
-                    "{:<56} {:>12} {:>12} {:>9}",
-                    id,
-                    fmt_ns(ma),
-                    fmt_ns(mb),
-                    delta
-                );
-            }
-            (Some(&(_, ma, _)), None) => {
-                println!("{:<56} {:>12} {:>12} {:>9}", id, fmt_ns(ma), "—", "gone");
-            }
-            (None, Some(&(_, mb, _))) => {
-                println!("{:<56} {:>12} {:>12} {:>9}", id, "—", fmt_ns(mb), "new");
-            }
-            (None, None) => unreachable!("id came from one of the maps"),
-        }
-    }
-    Ok(())
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -280,17 +132,10 @@ fn main() -> Result<(), Box<dyn Error>> {
                 .unwrap_or_else(obs_reports_dir);
             return check_reports(&dir);
         }
-        Some("--diff") => {
-            let (Some(dir_a), Some(dir_b)) = (args.get(1), args.get(2)) else {
-                return Err("--diff needs two report directories: --diff <dirA> <dirB>".into());
-            };
-            return diff_reports(Path::new(dir_a), Path::new(dir_b));
-        }
         Some(other) => {
-            return Err(format!(
-                "unknown argument {other:?}; usage: report [--check [dir] | --diff <dirA> <dirB>]"
-            )
-            .into());
+            return Err(
+                format!("unknown argument {other:?}; usage: report [--check [dir]]").into(),
+            );
         }
         None => {}
     }
@@ -328,7 +173,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         "{:<22} {:>12} {:>12} {:>14}",
         "consensus (§5.3)", "1 propose", "1 propose", "1 consensus"
     );
-    println!("(timings: cargo bench --bench e1_one_use_bit)");
 
     println!();
     println!("==================================================================");
@@ -348,7 +192,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     ] {
         println!("{:<28} {:>22} {:>22}", layer, wr, rd);
     }
-    println!("(worst-case counts; timings: cargo bench --bench e2_register_chain)");
+    println!("(worst-case counts)");
 
     println!();
     println!("==================================================================");
@@ -547,7 +391,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
         assert!(decisions.windows(2).all(|w| w[0] == w[1]));
     }
-    println!("(latency series: cargo bench --bench e7_consensus)");
 
     println!();
     println!("==================================================================");
@@ -657,8 +500,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         outcome.survivors.len(),
     );
     assert!(outcome.survivors.is_empty());
-
-    print_bench_trajectory(&obs_reports_dir());
 
     println!();
     println!("all experiment tables regenerated and their invariants re-checked");

@@ -1,17 +1,12 @@
-//! # `wfc-bench` — benchmark and report harness
+//! # `wfc-bench` — experiment report fixtures
 //!
-//! One Criterion bench per experiment (E1–E10, see DESIGN.md §3), plus
-//! the `wfc-report` binary that regenerates every experiment table
-//! recorded in EXPERIMENTS.md.
-//!
-//! This library holds the shared fixtures so that the benches and the
-//! report agree on what is measured, and the in-repo [`harness`] the
-//! benches run on (the workspace builds offline, so criterion itself is
-//! not available).
+//! The shared fixtures of the `report` binary, which regenerates every
+//! experiment table recorded in EXPERIMENTS.md (E1–E10, see DESIGN.md
+//! §3) and schema-checks run reports with `report --check`. The
+//! end-to-end benchmark (`wfc-bench/` at the repository root) reuses
+//! [`register_protocols`] for its `check-sweep` workload.
 
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use std::sync::Arc;
 

@@ -4,8 +4,8 @@
 //! covers exactly what the run-report pipeline needs: construction of
 //! values with deterministic key order (objects are ordered pairs, not
 //! maps), compact rendering with correct string escaping, and a strict
-//! recursive-descent parser for reading reports back (the bench
-//! aggregator and the `--check` schema validator).
+//! recursive-descent parser for reading reports back (the `report
+//! --check` schema validator and the tests).
 
 use std::fmt;
 

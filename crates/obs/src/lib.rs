@@ -5,7 +5,7 @@
 //! lightweight [`span`]s recorded into per-thread buffers that merge
 //! deterministically at drain, a hand-rolled [`json`] writer/parser, and
 //! a stable [`report::RunReport`] JSON schema that the explorer, the
-//! Section 4.2 analyses and the bench harness all emit.
+//! Section 4.2 analyses, the model checker and the service all emit.
 //!
 //! The workspace builds fully offline, so this crate depends on nothing
 //! but `std` — no `tracing`, no `serde`, no `metrics` facade.

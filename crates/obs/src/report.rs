@@ -22,7 +22,7 @@
 //! `counters`/`gauges`/`histograms` keys are sorted by name and `spans`
 //! entries by `(name, label)`, so a report's rendering is deterministic
 //! given the same measurements. `sections` holds domain payloads (paper
-//! quantities like `D`, per-register `r_b`/`w_b`; bench medians) in
+//! quantities like `D`, per-register `r_b`/`w_b`; loadgen latencies) in
 //! whatever insertion order the producer chose.
 
 use std::path::PathBuf;

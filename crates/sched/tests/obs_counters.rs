@@ -4,10 +4,14 @@
 //!
 //! They split every scheduled step between them, repeat exactly from
 //! run to run, and — like every other `wfc_obs` site — register nothing
-//! while observability is off. This file is its own test binary because
-//! it flips the process-global observability switch.
+//! while observability is off. A run report collected after traced
+//! explorations is a schema-valid `wfc-obs/v1` document that carries
+//! the checker's counters. This file is its own test binary because it
+//! flips the process-global observability switch.
 
+use wfc_obs::json::Json;
 use wfc_obs::metrics::Registry;
+use wfc_obs::report::RunReport;
 use wfc_sched::{explore, fixtures, Exploration, Mode, SchedOptions};
 
 fn run(target: &str, mode: Mode) -> Exploration {
@@ -67,6 +71,21 @@ fn handoff_counters_split_the_steps_repeat_exactly_and_cost_nothing_when_off() {
         }
         assert_eq!(seen[0], seen[1], "{target} {mode:?}: same counts every run");
     }
+
+    // A run report over a traced DFS of a register and of a wait-free
+    // primitive validates, and counts every schedule both explored.
+    Registry::global().reset();
+    let schedules: u64 = ["srsw", "ring"]
+        .into_iter()
+        .map(|target| run(target, Mode::Exhaustive { sleep_sets: true }).schedules)
+        .sum();
+    let doc = wfc_obs::json::parse(&RunReport::collect("sched").render()).expect("parses");
+    wfc_obs::report::validate(&doc).expect("schema-valid run report");
+    let recorded = doc
+        .get("counters")
+        .and_then(|c| c.get("sched.schedules"))
+        .and_then(Json::as_u64);
+    assert_eq!(recorded, Some(schedules));
     wfc_obs::set_enabled(false);
     Registry::global().reset();
 }

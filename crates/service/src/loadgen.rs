@@ -2,8 +2,8 @@
 //!
 //! Drives configurable traffic mixes over real sockets and reports
 //! client-observed latency percentiles and throughput as a
-//! `BENCH_service` run report (`wfc-obs/v1`), giving serving-layer PRs
-//! the same measured trajectory the explorer benches already have.
+//! `BENCH_service` run report (`wfc-obs/v1`), so a serving-layer change
+//! can be compared against a recorded run.
 //!
 //! Two loop disciplines, per mix:
 //!
@@ -22,10 +22,9 @@
 //! warmed once before timing), so the numbers characterize the
 //! frontend, queue, and cache layers rather than explorer search.
 //!
-//! The emitted document carries two sections: `service_loadgen` (the
-//! full per-mix numbers: counts, throughput, p50/p95/p99/max) and a
-//! harness-shaped `bench` section so `wfc-report`'s trajectory table
-//! picks the latency medians up alongside the other bench groups.
+//! The emitted document carries one section, `service_loadgen`: the
+//! full per-mix numbers (counts, throughput, p50/p95/p99/max and the
+//! server-side stage breakdown).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -619,10 +618,8 @@ pub fn run(opts: &LoadgenOptions) -> Result<Vec<MixReport>, String> {
     Ok(reports)
 }
 
-/// Assembles the `BENCH_service` run report: the `service_loadgen`
-/// section carries the full per-mix numbers, and a harness-shaped
-/// `bench` section mirrors the latency medians so the shared
-/// trajectory table prints them.
+/// Assembles the `BENCH_service` run report, whose `service_loadgen`
+/// section carries the full per-mix numbers.
 pub fn to_report(reports: &[MixReport]) -> RunReport {
     let mut run_report = RunReport::collect("BENCH_service");
     let mixes = reports
@@ -671,28 +668,6 @@ pub fn to_report(reports: &[MixReport]) -> RunReport {
         })
         .collect();
     run_report.section("service_loadgen", Json::Arr(mixes));
-
-    let results = reports
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("id", Json::Str(format!("{}/latency", r.name))),
-                ("median_ns", Json::F64(r.p50_us as f64 * 1000.0)),
-                ("lo_ns", Json::F64(r.min_us as f64 * 1000.0)),
-                ("hi_ns", Json::F64(r.p99_us as f64 * 1000.0)),
-                ("samples", Json::U64(r.ok + r.busy + r.errors)),
-            ])
-        })
-        .collect();
-    run_report.section(
-        "bench",
-        Json::obj(vec![
-            ("group", Json::Str("service".to_owned())),
-            ("sample_size", Json::U64(0)),
-            ("fast_mode", Json::Bool(false)),
-            ("results", Json::Arr(results)),
-        ]),
-    );
     run_report
 }
 
@@ -826,15 +801,6 @@ mod tests {
                 assert!(mix.get(field).is_some(), "missing {field}");
             }
         }
-        let bench = doc
-            .get("sections")
-            .and_then(|s| s.get("bench"))
-            .expect("bench section");
-        assert_eq!(bench.get("group").and_then(Json::as_str), Some("service"));
-        assert_eq!(
-            bench.get("results").and_then(Json::as_arr).map(|r| r.len()),
-            Some(2)
-        );
     }
 
     #[test]

@@ -585,7 +585,7 @@ fn cmd_cluster_status(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 }
 
 /// `loadgen`: drive a running server with the built-in traffic mixes
-/// and emit the `BENCH_service` latency/throughput report.
+/// and emit the `BENCH_service` run report (`service_loadgen` section).
 fn cmd_loadgen(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     use wfc_service::loadgen::{self, Mode};
 
