@@ -11,8 +11,9 @@
 //!
 //! Modes:
 //! - no arguments — regenerate the tables and re-check their
-//!   invariants. With `WFC_OBS=1 WFC_OBS_JSON=dir` the traced engine
-//!   calls also write their run reports to `dir`.
+//!   invariants. With `WFC_OBS=1 WFC_OBS_JSON=dir` the run also writes
+//!   one run report of everything the traced engine calls recorded,
+//!   `dir/report.json`.
 //! - `--check [dir]` — validate every `.json` file in `dir` (default
 //!   `WFC_OBS_JSON`, else `obs-reports`) against its schema and exit
 //!   non-zero if any is invalid. Used by CI after the smoke runs that
@@ -503,5 +504,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!();
     println!("all experiment tables regenerated and their invariants re-checked");
+    if wfc_obs::emission_requested() {
+        wfc_obs::report::RunReport::collect("report").emit();
+    }
     Ok(())
 }

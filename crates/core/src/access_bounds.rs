@@ -17,8 +17,6 @@
 pub use wfc_consensus::RegisterBounds;
 use wfc_consensus::{explore_protocol, ConsensusSystem, ProtocolRuns};
 use wfc_explorer::{ExploreOptions, ExplorerError};
-use wfc_obs::json::Json;
-use wfc_obs::report::RunReport;
 
 /// The Section 4.2 analysis result for one consensus implementation.
 #[derive(Clone, Debug)]
@@ -91,7 +89,7 @@ impl AccessBounds {
 
 /// Computes the paper's Section 4.2 quantities for a consensus protocol
 /// given as a per-input-vector builder: [`explore_protocol`], then
-/// [`access_bounds_of`].
+/// [`AccessBounds::from_runs`].
 ///
 /// Wait-freedom is verified as a side effect (a non-wait-free protocol
 /// has no access bounds; the paper's König argument is exactly this
@@ -106,88 +104,7 @@ pub fn access_bounds(
     build: impl Fn(&[bool]) -> ConsensusSystem + Sync,
     opts: &ExploreOptions,
 ) -> Result<AccessBounds, ExplorerError> {
-    access_bounds_of(n, explore_protocol(n, build, opts).as_ref(), opts)
-}
-
-/// [`AccessBounds::from_runs`] on the outcome of an `n`-process
-/// protocol pass, passing its error through.
-///
-/// # Observability
-///
-/// With observability on ([`ObsOptions`](wfc_explorer::ObsOptions) via
-/// `opts.obs`, or `WFC_OBS=1`), this emits an `access_bounds`
-/// [`RunReport`] — explorer metrics plus a section carrying the paper
-/// quantities (`D`, per-tree depths, per-register `r_b`/`w_b`) — to
-/// `WFC_OBS_JSON` or stderr. On failure the report's section records the
-/// error instead (including budget consumption for budget errors). A
-/// caller that reads one pass several times calls this once, so the
-/// pass emits one report.
-pub fn access_bounds_of(
-    n: usize,
-    runs: Result<&ProtocolRuns, &ExplorerError>,
-    opts: &ExploreOptions,
-) -> Result<AccessBounds, ExplorerError> {
-    let result = runs.map(AccessBounds::from_runs).map_err(Clone::clone);
-    if opts.obs.any() {
-        emit_report(n, &result);
-    }
-    result
-}
-
-/// Assembles and emits the `access_bounds` run report: the collected
-/// metrics/spans plus a section with the paper's Section 4.2 quantities.
-/// Collecting resets the global registry, so the report covers exactly
-/// this analysis (plus anything else recorded since the last collect).
-fn emit_report(n: usize, result: &Result<AccessBounds, ExplorerError>) {
-    let mut report = RunReport::collect("access_bounds");
-    let section = match result {
-        Ok(b) => Json::obj(vec![
-            ("n", Json::U64(n as u64)),
-            ("D", Json::U64(b.d_max as u64)),
-            (
-                "depth_per_tree",
-                Json::Arr(
-                    b.depth_per_tree
-                        .iter()
-                        .map(|&d| Json::U64(d as u64))
-                        .collect(),
-                ),
-            ),
-            ("total_configs", Json::U64(b.total_configs as u64)),
-            (
-                "registers",
-                Json::Arr(
-                    b.registers
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("obj", Json::U64(r.obj as u64)),
-                                ("r_b", Json::U64(r.reads as u64)),
-                                ("w_b", Json::U64(r.writes as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "one_use_bits_required",
-                Json::U64(b.one_use_bits_required() as u64),
-            ),
-        ]),
-        Err(e) => {
-            let mut fields = vec![
-                ("n", Json::U64(n as u64)),
-                ("error", Json::Str(e.to_string())),
-            ];
-            if let ExplorerError::Exhausted(e) = e {
-                fields.push(("budget", Json::U64(e.budget)));
-                fields.push(("used", Json::U64(e.used)));
-            }
-            Json::obj(fields)
-        }
-    };
-    report.section("access_bounds", section);
-    report.emit();
+    explore_protocol(n, build, opts).map(|runs| AccessBounds::from_runs(&runs))
 }
 
 #[cfg(test)]

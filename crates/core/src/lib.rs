@@ -48,7 +48,7 @@ mod recipe;
 mod theorem5;
 mod transform;
 
-pub use access_bounds::{access_bounds, access_bounds_of, AccessBounds, RegisterBounds};
+pub use access_bounds::{access_bounds, AccessBounds, RegisterBounds};
 pub use bounded_bit::{bounded_bit, bounded_bit_with, cost, BoundedBitReader, BoundedBitWriter};
 pub use error::{BoundedBitError, DeriveError, TransformError};
 pub use one_use::{

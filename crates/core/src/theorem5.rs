@@ -31,7 +31,7 @@ use wfc_explorer::{explore, ExploreOptions};
 use wfc_spec::triviality::is_trivial;
 use wfc_spec::FiniteType;
 
-use crate::access_bounds::{access_bounds_of, AccessBounds};
+use crate::access_bounds::AccessBounds;
 use crate::error::{DeriveError, TransformError};
 use crate::recipe::OneUseRecipe;
 use crate::transform::{eliminate_registers, OneUseSource};
@@ -100,13 +100,13 @@ pub fn check_theorem5(
     source: &OneUseSource,
     opts: &ExploreOptions,
 ) -> Result<Theorem5Certificate, TransformError> {
-    let runs = explore_protocol(n, build, opts);
-    let bounds = access_bounds_of(n, runs.as_ref(), opts)?;
-    check_theorem5_on(&runs?, &bounds, source, opts)
+    let runs = explore_protocol(n, build, opts)?;
+    let bounds = AccessBounds::from_runs(&runs);
+    check_theorem5_on(&runs, &bounds, source, opts)
 }
 
 /// Theorem 5 on a finished protocol pass whose access bounds are
-/// `bounds` (as [`access_bounds_of`] returns them): eliminates the
+/// `bounds` (as [`AccessBounds::from_runs`] reads them): eliminates the
 /// registers from the systems the pass already built, and re-verifies
 /// the results over all `2^n` input vectors.
 ///

@@ -474,9 +474,10 @@ impl ProtocolPass {
         runs: &'a mut Option<ProtocolRuns>,
         p: ProtocolEntry,
         opts: &ExploreOptions,
-    ) -> Result<&'a ProtocolRuns, ExplorerError> {
+    ) -> Result<&'a ProtocolRuns, QueryError> {
         if runs.is_none() {
-            *runs = Some(wfc_consensus::explore_protocol(p.n, p.build, opts)?);
+            let explored = wfc_consensus::explore_protocol(p.n, p.build, opts);
+            *runs = Some(explored.map_err(from_explorer)?);
         }
         Ok(runs.as_ref().expect("explored above"))
     }
@@ -486,22 +487,20 @@ impl ProtocolPass {
         p: ProtocolEntry,
         opts: &ExploreOptions,
     ) -> Result<&ProtocolRuns, QueryError> {
-        Self::explore(&mut self.runs, p, opts).map_err(from_explorer)
+        Self::explore(&mut self.runs, p, opts)
     }
 
-    /// The pass and its access bounds, derived (and reported) once.
+    /// The pass and its access bounds, derived once.
     fn bounds(
         &mut self,
         p: ProtocolEntry,
         opts: &ExploreOptions,
     ) -> Result<(&ProtocolRuns, &AccessBounds), QueryError> {
-        let runs = Self::explore(&mut self.runs, p, opts);
-        if self.bounds.is_none() {
-            let bounds = wfc_core::access_bounds_of(p.n, runs.as_ref().copied(), opts);
-            self.bounds = Some(bounds.map_err(from_explorer)?);
-        }
-        let runs = runs.map_err(from_explorer)?;
-        Ok((runs, self.bounds.as_ref().expect("derived above")))
+        let runs = Self::explore(&mut self.runs, p, opts)?;
+        let bounds = self
+            .bounds
+            .get_or_insert_with(|| AccessBounds::from_runs(runs));
+        Ok((runs, bounds))
     }
 }
 

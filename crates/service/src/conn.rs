@@ -1,39 +1,23 @@
 //! The write half of a frontend connection, shared between the IO loop
-//! (which owns the socket and performs the actual nonblocking writes)
-//! and the workers (which only *queue* rendered response frames).
+//! (which owns the socket and performs the nonblocking writes) and the
+//! producers of responses: the IO thread's inline answers, the workers.
 //!
-//! Workers never touch a socket — and since the wait-free refactor they
-//! never touch a lock on this path either. Each registered producer
-//! thread (the IO thread and every worker) renders its response frame
-//! into bytes on its own stack and pushes the boxed frame onto its own
-//! bounded SPSC ring ([`wfc_waitfree::BoxRing`]); the IO thread is the
-//! sole consumer of every ring and absorbs frames into the outbound
-//! byte buffer when it next flushes. A worker's enqueue is therefore
-//! wait-free: one ring push and one flag store, never blocked behind a
-//! peer's enqueue or behind the IO thread mid-`write(2)`.
+//! A producer renders its response frame on its own stack, appends it
+//! to the connection's one frame queue under a short lock, and raises
+//! `has_output`. The IO thread takes the whole queue by one swap under
+//! that lock and copies the frames into the outbound byte buffer after
+//! releasing it, so the lock is never held across a copy or a
+//! `write(2)`, and a slow-reading client never blocks a worker. Frames
+//! leave in push order, so each producer's frames keep their order.
 //!
-//! Two fallbacks keep the fast path honest:
-//!
-//! * a **spill queue** (plain `Mutex<VecDeque>`) absorbs pushes from
-//!   unregistered threads (tests, future callers) and overflow when a
-//!   ring is full. Per-producer FIFO order survives the detour: a
-//!   producer routes to the spill whenever `has_spill` is raised, and
-//!   the flag only clears once the spill has fully drained — so a
-//!   producer never has an older frame in the spill while pushing a
-//!   newer one onto its ring;
-//! * the **lost-wakeup handshake** on `has_output`: producers push,
-//!   *then* store the flag (`SeqCst`); the flusher swaps the flag to
-//!   `false` *before* draining. If the swap observes the store, the
-//!   acquire side of the RMW makes the push visible to the drain; if
-//!   the store lands after the swap, the flag is simply up again and
-//!   the IO loop (nudged by the existing self-pipe waker) flushes once
-//!   more. Either way no frame is stranded.
-//!
-//! That is what lets responses to pipelined requests complete out of
-//! order without per-connection threads, and what keeps a slow-reading
-//! client from ever blocking a worker.
+//! The **lost-wakeup handshake** on `has_output`: producers push,
+//! *then* store the flag (`SeqCst`); the flusher swaps the flag to
+//! `false` *before* taking the queue. If the swap observes the store,
+//! the queue lock makes the push visible to the take; if the store
+//! lands after the swap, the flag is simply up again and the IO loop
+//! (nudged by the self-pipe waker) flushes once more. Either way no
+//! frame is stranded.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
 use std::net::TcpStream;
@@ -42,30 +26,9 @@ use std::sync::Mutex;
 
 use wfc_obs::json::Json;
 use wfc_spec::stage::Stage;
-use wfc_waitfree::BoxRing;
 
 use crate::stats::RequestTrace;
 use crate::wire::write_frame;
-
-/// Slots per producer ring. Small on purpose: the ring only has to
-/// cover the IO thread's inter-flush window, and overflow degrades to
-/// the spill queue, not to loss.
-const RING_CAPACITY: usize = 64;
-
-thread_local! {
-    /// The ring index this thread pushes to, on every connection.
-    /// Registered once at thread start by the server wiring; threads
-    /// that never register use the spill queue.
-    static PRODUCER_SLOT: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Claims ring `slot` for the calling thread on every [`ConnShared`].
-/// The server registers the IO thread as slot 0 and worker `i` as slot
-/// `i + 1`; each slot must belong to exactly one thread, which is what
-/// makes the per-slot rings single-producer.
-pub(crate) fn register_producer(slot: usize) {
-    PRODUCER_SLOT.with(|s| s.set(Some(slot)));
-}
 
 /// One rendered response: the framed bytes plus the request trace that
 /// rides to the flush watermark with them.
@@ -91,15 +54,8 @@ struct OutBuf {
 
 /// Shared per-connection response channel. See the module docs.
 pub(crate) struct ConnShared {
-    /// One SPSC ring per registered producer thread; the IO thread is
-    /// the only consumer.
-    rings: Vec<BoxRing<Frame>>,
-    /// Overflow and unregistered-thread fallback.
-    spill: Mutex<VecDeque<Box<Frame>>>,
-    /// Raised (under the spill lock) while the spill may hold frames;
-    /// producers route to the spill whenever it is up, which preserves
-    /// their FIFO order across the detour.
-    has_spill: AtomicBool,
+    /// Rendered frames waiting for the IO thread, in push order.
+    queue: Mutex<Vec<Frame>>,
     /// The IO-thread-only staging buffer frames are absorbed into.
     outbound: Mutex<OutBuf>,
     has_output: AtomicBool,
@@ -107,64 +63,48 @@ pub(crate) struct ConnShared {
 }
 
 impl ConnShared {
-    /// A channel for `producers` registered threads (slots
-    /// `0..producers`); pushes from other threads spill.
-    pub(crate) fn new(producers: usize) -> ConnShared {
+    /// An open connection with nothing queued.
+    pub(crate) fn new() -> ConnShared {
         ConnShared {
-            rings: (0..producers.max(1))
-                .map(|_| BoxRing::new(RING_CAPACITY))
-                .collect(),
-            spill: Mutex::new(VecDeque::new()),
-            has_spill: AtomicBool::new(false),
+            queue: Mutex::new(Vec::new()),
             outbound: Mutex::new(OutBuf::default()),
             has_output: AtomicBool::new(false),
             closed: AtomicBool::new(false),
         }
     }
 
-    /// Renders `doc` into a framed byte vector; `None` drops an
-    /// over-`MAX_FRAME` response, like a dead peer.
-    fn render(doc: &Json) -> Option<Vec<u8>> {
-        let mut bytes = Vec::new();
-        // Vec<u8> as Write is infallible; the only error is an
-        // over-MAX_FRAME response, which leaves `bytes` empty.
-        let _ = write_frame(&mut bytes, doc);
-        if bytes.is_empty() {
-            None
-        } else {
-            Some(bytes)
+    /// Frames `doc`, or `None` if the connection closed (late responses
+    /// to a departed peer are dropped, like a failed write) or the frame
+    /// is over `MAX_FRAME`, the only error writing to a `Vec` can give.
+    fn render(&self, doc: &Json) -> Option<Vec<u8>> {
+        if self.closed.load(Ordering::SeqCst) {
+            return None;
         }
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, doc).ok()?;
+        Some(bytes)
     }
 
-    /// Frames `doc` and queues it for the IO thread. A no-op once the
-    /// connection closed — late worker responses to a departed peer are
-    /// dropped, matching the old frontend's failed-write behavior.
+    /// Frames `doc` and queues it for the IO thread; see [`Self::render`]
+    /// for when it is dropped instead.
     pub(crate) fn enqueue_json(&self, doc: &Json) {
-        if self.closed.load(Ordering::SeqCst) {
-            return;
+        if let Some(bytes) = self.render(doc) {
+            self.push_frame(Frame { bytes, trace: None });
         }
-        let Some(bytes) = Self::render(doc) else {
-            return;
-        };
-        self.push_frame(Frame { bytes, trace: None });
     }
 
     /// [`enqueue_json`](ConnShared::enqueue_json) for a traced request:
     /// stamps `ResponseEnqueued` and sends the trace along with the
     /// frame; the flush that writes the frame's last byte completes it.
-    /// Hands the trace back untouched if the response could not be
-    /// queued (connection closed, frame oversized) so the caller can
-    /// finalize it as dropped.
+    /// Hands the trace back untouched if the response is dropped, so the
+    /// caller can finalize it as dropped.
     pub(crate) fn enqueue_json_traced(
         &self,
         doc: &Json,
         mut trace: Box<RequestTrace>,
     ) -> Option<Box<RequestTrace>> {
-        if self.closed.load(Ordering::SeqCst) {
+        let Some(bytes) = self.render(doc) else {
             return Some(trace);
-        }
-        let Some(bytes) = Self::render(doc) else {
-            return Some(trace); // over-MAX_FRAME response: dropped
         };
         trace.stamp(Stage::ResponseEnqueued);
         self.push_frame(Frame {
@@ -174,64 +114,24 @@ impl ConnShared {
         None
     }
 
-    /// Queues one rendered frame: ring on the fast path, spill on
-    /// overflow or from unregistered threads, then the `has_output`
-    /// handshake (see the module docs for the lost-wakeup argument).
+    /// Queues one rendered frame, then raises `has_output` (see the
+    /// module docs for the lost-wakeup argument).
     fn push_frame(&self, frame: Frame) {
-        let mut frame = Box::new(frame);
-        let slot = PRODUCER_SLOT
-            .with(Cell::get)
-            .filter(|&s| s < self.rings.len());
-        match slot {
-            // The spill check keeps per-producer FIFO: while this
-            // producer may still have frames in the spill, newer frames
-            // must follow them there, not jump the queue via the ring.
-            Some(s) if !self.has_spill.load(Ordering::SeqCst) => {
-                // Safety: `register_producer` gives each slot to exactly
-                // one thread, so this thread is ring `s`'s only producer.
-                if let Err(back) = unsafe { self.rings[s].push(frame) } {
-                    frame = back;
-                    self.spill_push(frame);
-                }
-            }
-            _ => self.spill_push(frame),
-        }
+        self.queue.lock().expect("frame queue poisoned").push(frame);
         self.has_output.store(true, Ordering::SeqCst);
     }
 
-    fn spill_push(&self, frame: Box<Frame>) {
-        wfc_obs::counter!("service.conn.spilled");
-        let mut spill = self.spill.lock().unwrap();
-        spill.push_back(frame);
-        // Under the lock, so it cannot race the flusher's clear: the
-        // flag is only lowered while the spill is observably empty.
-        self.has_spill.store(true, Ordering::SeqCst);
-    }
-
     /// Moves every queued frame into the outbound byte buffer,
-    /// assigning watermarks in absorption order. IO thread only (it is
-    /// the sole ring consumer).
+    /// assigning watermarks in absorption order. The queue lock covers
+    /// only the take; the copying happens after it is released.
     fn absorb(&self, out: &mut OutBuf) {
-        fn absorb_frame(out: &mut OutBuf, frame: Frame) {
+        let frames = std::mem::take(&mut *self.queue.lock().expect("frame queue poisoned"));
+        for frame in frames {
             out.bytes.extend_from_slice(&frame.bytes);
             out.enqueued_total += frame.bytes.len() as u64;
             if let Some(trace) = frame.trace {
                 out.pending_traces.push_back((out.enqueued_total, trace));
             }
-        }
-        for ring in &self.rings {
-            // Safety: absorb runs on the IO thread only — the single
-            // consumer of every ring.
-            while let Some(frame) = unsafe { ring.pop() } {
-                absorb_frame(out, *frame);
-            }
-        }
-        if self.has_spill.load(Ordering::SeqCst) {
-            let mut spill = self.spill.lock().unwrap();
-            while let Some(frame) = spill.pop_front() {
-                absorb_frame(out, *frame);
-            }
-            self.has_spill.store(false, Ordering::SeqCst);
         }
     }
 
@@ -255,8 +155,8 @@ impl ConnShared {
         stream: &mut TcpStream,
         completed: &mut Vec<RequestTrace>,
     ) -> io::Result<bool> {
-        // Claim the wake before draining — a producer whose push this
-        // drain misses re-raises the flag after it (module docs).
+        // Claim the wake before taking the queue — a producer whose push
+        // this take misses re-raises the flag after it (module docs).
         self.has_output.swap(false, Ordering::SeqCst);
         let mut out = self.outbound.lock().unwrap();
         self.absorb(&mut out);
@@ -306,7 +206,7 @@ impl ConnShared {
     }
 
     /// Takes every trace still awaiting its flush watermark — including
-    /// those still riding in the rings — the connection-teardown path,
+    /// those still in the queue — the connection-teardown path,
     /// where those responses will never be delivered. IO thread only.
     pub(crate) fn take_pending_traces(&self) -> Vec<RequestTrace> {
         let mut out = self.outbound.lock().unwrap();
@@ -327,8 +227,104 @@ impl ConnShared {
 impl std::fmt::Debug for ConnShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConnShared")
-            .field("producers", &self.rings.len())
             .field("closed", &self.is_closed())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::io::{Cursor, Read as _};
+    use std::net::{Shutdown, TcpListener};
+    use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
+
+    use super::*;
+    use crate::wire::{read_frame, QueryKind};
+
+    /// Producers race the flusher on one connection over loopback.
+    /// Every frame arrives whole and once, each producer's in push
+    /// order, and every third frame's trace completes exactly once, in
+    /// the flush whose written bytes reach the frame's last byte.
+    #[test]
+    fn concurrent_producers_deliver_every_frame_once_in_order() {
+        const PRODUCERS: u64 = 4;
+        const FRAMES: u64 = 2_000;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut peer = listener.accept().unwrap().0;
+        writer.set_nonblocking(true).unwrap();
+        let (conn, finished) = (ConnShared::new(), AtomicU64::new(0));
+        let mut completions = Vec::new(); // (request id, flushed before, after)
+        let mut received = Vec::new();
+        std::thread::scope(|s| {
+            // The peer reads only once every frame is queued, so the
+            // socket fills and flushes stop part-way through frames.
+            let reader = s.spawn(|| {
+                while finished.load(Ordering::SeqCst) < PRODUCERS {
+                    std::thread::yield_now();
+                }
+                peer.read_to_end(&mut received).unwrap()
+            });
+            for p in 0..PRODUCERS {
+                let (conn, finished) = (&conn, &finished);
+                s.spawn(move || {
+                    for (i, id) in (0..FRAMES).zip(p * FRAMES..) {
+                        let pad = Json::Str("x".repeat(i as usize % 7 * 1000));
+                        let doc =
+                            Json::obj(vec![("p", Json::U64(p)), ("i", Json::U64(i)), ("pad", pad)]);
+                        if i % 3 == 0 {
+                            let trace =
+                                RequestTrace::new(id, id, QueryKind::Classify, Instant::now());
+                            assert!(conn.enqueue_json_traced(&doc, trace).is_none());
+                        } else {
+                            conn.enqueue_json(&doc);
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            let (mut completed, mut partial_flushes) = (Vec::new(), 0);
+            loop {
+                // Read before the flush, which then takes the last frames.
+                let all_pushed = finished.load(Ordering::SeqCst) == PRODUCERS;
+                let before = conn.outbound.lock().unwrap().flushed_total;
+                let flushed_all = conn.flush(&mut writer, &mut completed).unwrap();
+                let after = conn.outbound.lock().unwrap().flushed_total;
+                completions.extend(completed.drain(..).map(|t| (t.request_id, before, after)));
+                if all_pushed && flushed_all {
+                    break;
+                }
+                partial_flushes += usize::from(!flushed_all);
+                std::thread::yield_now();
+            }
+            assert!(partial_flushes > 0, "the socket never pushed back");
+            writer.shutdown(Shutdown::Write).unwrap();
+            reader.join().unwrap();
+        });
+
+        // A torn frame breaks the length framing or the JSON parse.
+        let mut cursor = Cursor::new(&received[..]);
+        let (mut next, mut watermarks) = ([0; PRODUCERS as usize], HashMap::new());
+        while let Some(doc) = read_frame(&mut cursor).unwrap() {
+            let field = |key| doc.get(key).and_then(Json::as_u64).unwrap();
+            let (p, i) = (field("p"), field("i"));
+            assert_eq!(i, next[p as usize], "producer {p}'s frames out of order");
+            next[p as usize] += 1;
+            if i % 3 == 0 {
+                watermarks.insert(p * FRAMES + i, cursor.position());
+            }
+        }
+        assert_eq!(next, [FRAMES; PRODUCERS as usize], "frames lost");
+        assert_eq!(completions.len(), watermarks.len());
+        for (id, before, after) in completions {
+            // `remove` also fails a trace that completes twice.
+            let end = watermarks.remove(&id).expect("one completion per trace");
+            assert!(
+                before < end && end <= after,
+                "trace {id} ends at {end}, flushed {before}..{after}"
+            );
+        }
     }
 }

@@ -102,7 +102,7 @@ mod tests {
                 type_text: text.to_owned(),
                 options: QueryOptions::default(),
             },
-            conn: Arc::new(ConnShared::new(1)),
+            conn: Arc::new(ConnShared::new()),
             trace: None,
         }
     }

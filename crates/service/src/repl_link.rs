@@ -124,7 +124,7 @@ impl ReplRuntime {
             .map(|(id, _)| PeerLink {
                 id: *id,
                 stream: None,
-                shared: Arc::new(ConnShared::new(1)),
+                shared: Arc::new(ConnShared::new()),
                 inbuf: FrameBuffer::new(),
                 write_blocked: false,
                 queued_down: 0,
@@ -192,7 +192,7 @@ impl ReplRuntime {
         }
         // A fresh buffer: the old one may hold a frame half-written to
         // the dead socket, which must never leak onto a new one.
-        link.shared = Arc::new(ConnShared::new(1));
+        link.shared = Arc::new(ConnShared::new());
         link.write_blocked = false;
         link.queued_down = 0;
         self.shared.link_up[slot].store(false, Ordering::SeqCst);
@@ -233,7 +233,7 @@ impl ReplRuntime {
                             // re-derives what mattered.
                             link.queued_down += 1;
                             if link.queued_down > MAX_DOWN_FRAMES {
-                                link.shared = Arc::new(ConnShared::new(1));
+                                link.shared = Arc::new(ConnShared::new());
                                 link.queued_down = 0;
                                 wfc_obs::counter!("repl.links.backlog_dropped");
                             }

@@ -20,8 +20,10 @@
 //! * a **fixed worker pool** draining jobs through the [`ResultCache`]
 //!   (memory → disk → single-flight → compute), whose single-flight is
 //!   the one place identical in-flight queries are deduplicated;
-//!   workers queue rendered response frames on the owning connection
-//!   and nudge the IO thread through a self-pipe waker;
+//!   workers append rendered response frames to the owning
+//!   connection's one frame queue (a short lock; the IO thread copies
+//!   and writes outside it) and nudge the IO thread through a
+//!   self-pipe waker;
 //! * per-connection **pipelining**: responses are matched to requests
 //!   by id, so one client may keep many requests in flight and workers
 //!   may complete them out of order;
@@ -471,9 +473,6 @@ fn io_loop(
     config: &ServeConfig,
     mut repl: Option<ReplRuntime>,
 ) {
-    // The IO thread produces on ring slot 0 of every connection (its
-    // own inline answers: stats, busy, bad-request, repl frames).
-    crate::conn::register_producer(0);
     let mut conns: Vec<Conn> = Vec::new();
     let mut consecutive_accept_errors: u32 = 0;
     let mut accept_resume: Option<Instant> = None;
@@ -551,9 +550,7 @@ fn io_loop(
                         conns.push(Conn {
                             stream,
                             inbuf: FrameBuffer::new(),
-                            // Slot 0 is the IO thread, slots 1.. are
-                            // the workers — the registered producers.
-                            shared: Arc::new(ConnShared::new(1 + config.workers.max(1))),
+                            shared: Arc::new(ConnShared::new()),
                             closing: false,
                             write_blocked: false,
                             dead: false,
@@ -918,9 +915,6 @@ fn worker_loop(
     config: &ServeConfig,
     repl: Option<&ReplShared>,
 ) {
-    // Worker `idx` produces on ring slot `idx + 1` of every connection
-    // (slot 0 is the IO thread's).
-    crate::conn::register_producer(idx + 1);
     while let Some(job) = queue.pop() {
         compute_job(
             job, idx, cache, gate, waker, inflight, intro, cancel, config, repl,

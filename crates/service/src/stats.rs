@@ -195,7 +195,12 @@ pub(crate) struct RequestTrace {
 }
 
 impl RequestTrace {
-    fn new(seq: u64, request_id: u64, kind: QueryKind, accepted: Instant) -> Box<RequestTrace> {
+    pub(crate) fn new(
+        seq: u64,
+        request_id: u64,
+        kind: QueryKind,
+        accepted: Instant,
+    ) -> Box<RequestTrace> {
         let mut trace = Box::new(RequestTrace {
             seq,
             request_id,

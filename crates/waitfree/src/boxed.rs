@@ -1,19 +1,16 @@
 //! Owned-payload wrappers over the `Copy`-only raw primitives.
 //!
-//! The raw ring, triple buffer, and write-once cell move `Copy` values
-//! through [`RawData`](wfc_registers::RawData) slots. Hot-path callers
-//! need owned payloads — response frames, span batches, arbitrary pool
-//! results — so this module moves `Box`es through `usize`-typed
-//! primitives instead: a pointer is `Copy`, and ownership transfers
-//! with the value. All pointer `unsafe` in the crate outside the
-//! primitives themselves is confined here, with one invariant per type:
+//! The triple buffer and write-once cell move `Copy` values through
+//! [`RawData`](wfc_registers::RawData) slots. Hot-path callers need
+//! owned payloads — span batches, arbitrary pool results — so this
+//! module moves `Box`es through `usize`-typed primitives instead: a
+//! pointer is `Copy`, and ownership transfers with the value. All
+//! pointer `unsafe` in the crate outside the primitives themselves is
+//! confined here, with one invariant per type:
 //!
 //! * [`ResultCell`]: a pointer enters at `set` (`Box::into_raw`) and
 //!   leaves at exactly one `take` (`Box::from_raw`) — the write-once
 //!   cell's exactly-once `take` *is* the no-double-free argument.
-//! * [`BoxRing`]: every pushed pointer is popped at most once (SPSC
-//!   FIFO delivers each slot value exactly once per lap); `Drop` drains
-//!   the stragglers under `&mut` exclusivity.
 //! * [`snapshot`]: the same three allocations live in the triple
 //!   buffer for its whole life — only their *roles* (front / middle /
 //!   back) rotate. The publisher mutates its exclusively-owned back
@@ -31,7 +28,6 @@ use std::sync::Arc;
 use wfc_registers::RealProvider;
 
 use crate::cell::WriteOnce;
-use crate::spsc::SpscRing;
 use crate::triple::{triple_buffer_each, TriplePublisher, TripleSubscriber};
 
 /// A write-once slot for an arbitrary `Send` payload: the boxed
@@ -97,88 +93,6 @@ impl<T: Send> std::fmt::Debug for ResultCell<T> {
         f.debug_struct("ResultCell")
             .field("full", &self.is_full())
             .finish()
-    }
-}
-
-/// A bounded SPSC ring of boxed payloads: the owned counterpart of
-/// [`SpscRing`], used for the service's worker→IO response frames.
-///
-/// Like the raw ring, `push` and `pop` take `&self` and are `unsafe`:
-/// the caller designates the single producer and the single consumer.
-/// (The service pins `pop` to the IO thread and gives each worker its
-/// own ring, so the contract is structural there.)
-pub struct BoxRing<T: Send> {
-    ring: SpscRing<usize, RealProvider>,
-    _owns: PhantomData<T>,
-}
-
-// Safety: the ring transfers `Box<T>` ownership between the producer
-// and consumer threads (`T: Send`); the index protocol itself is Sync.
-unsafe impl<T: Send> Send for BoxRing<T> {}
-unsafe impl<T: Send> Sync for BoxRing<T> {}
-
-impl<T: Send> BoxRing<T> {
-    /// Creates a ring holding up to `capacity` boxed values.
-    ///
-    /// # Panics
-    ///
-    /// If `capacity` is zero.
-    pub fn new(capacity: usize) -> BoxRing<T> {
-        BoxRing {
-            ring: SpscRing::new(capacity, 0),
-            _owns: PhantomData,
-        }
-    }
-
-    /// The fixed slot count.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Appends `value`, or hands it back if the ring is full.
-    ///
-    /// # Safety
-    ///
-    /// At most one thread may call `push` at a time (the single
-    /// producer), as for [`SpscRing::push`].
-    pub unsafe fn push(&self, value: Box<T>) -> Result<(), Box<T>> {
-        let ptr = Box::into_raw(value);
-        match self.ring.push(ptr as usize) {
-            Ok(()) => Ok(()),
-            // Safety: a refused pointer was never shared; reconstitute it.
-            Err(p) => Err(Box::from_raw(p as *mut T)),
-        }
-    }
-
-    /// Removes the oldest value, or `None` if the ring is empty.
-    ///
-    /// # Safety
-    ///
-    /// At most one thread may call `pop` at a time (the single
-    /// consumer), as for [`SpscRing::pop`].
-    pub unsafe fn pop(&self) -> Option<Box<T>> {
-        // Safety: each slot value is produced by exactly one
-        // `Box::into_raw` in `push` and delivered exactly once by the
-        // ring's FIFO protocol.
-        self.ring.pop().map(|p| Box::from_raw(p as *mut T))
-    }
-}
-
-impl<T: Send> Drop for BoxRing<T> {
-    fn drop(&mut self) {
-        // Safety: `&mut self` makes this thread the sole consumer (and
-        // producer) for the duration of the drain.
-        while let Some(value) = unsafe { self.pop() } {
-            drop(value);
-        }
-    }
-}
-
-impl<T: Send> std::fmt::Debug for BoxRing<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoxRing")
-            .field("capacity", &self.capacity())
-            .finish_non_exhaustive()
     }
 }
 
@@ -325,67 +239,6 @@ mod tests {
         cell.set(DropCounter(Arc::clone(&drops)));
         drop(cell);
         assert_eq!(drops.load(Ordering::Relaxed), 1, "untaken value reclaimed");
-    }
-
-    #[test]
-    fn box_ring_is_fifo_and_drop_drains() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let ring = BoxRing::new(4);
-        // Safety (throughout): this thread is both the producer and the
-        // consumer — trivially single on each side.
-        unsafe {
-            for i in 0..3 {
-                ring.push(Box::new((i, DropCounter(Arc::clone(&drops)))))
-                    .map_err(|_| "full")
-                    .unwrap();
-            }
-            assert_eq!(ring.pop().map(|b| b.0), Some(0));
-        }
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
-        drop(ring);
-        assert_eq!(drops.load(Ordering::Relaxed), 3, "drop drained the rest");
-    }
-
-    /// Satellite-3 hammer: worker thread streams 50k boxed frames
-    /// through a small ring to a consumer thread; every frame arrives
-    /// intact, in order, and is freed exactly once (no leak = the drop
-    /// count matches).
-    #[test]
-    fn hammer_box_ring_delivers_every_frame_once() {
-        const N: usize = 50_000;
-        let drops = Arc::new(AtomicUsize::new(0));
-        let ring = BoxRing::new(8);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut rng = crate::tests::SplitMix64::new(11);
-                for i in 0..N {
-                    let mut frame =
-                        Box::new((i, format!("frame-{i}"), DropCounter(Arc::clone(&drops))));
-                    // Safety: this thread is the sole producer.
-                    while let Err(back) = unsafe { ring.push(frame) } {
-                        frame = back;
-                        std::thread::yield_now();
-                    }
-                    if rng.next().is_multiple_of(64) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            s.spawn(|| {
-                for i in 0..N {
-                    // Safety: this thread is the sole consumer.
-                    let frame = loop {
-                        match unsafe { ring.pop() } {
-                            Some(f) => break f,
-                            None => std::thread::yield_now(),
-                        }
-                    };
-                    assert_eq!(frame.0, i);
-                    assert_eq!(frame.1, format!("frame-{i}"));
-                }
-            });
-        });
-        assert_eq!(drops.load(Ordering::Relaxed), N, "every frame freed once");
     }
 
     #[test]

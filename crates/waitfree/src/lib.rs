@@ -1,20 +1,21 @@
 //! # `wfc-waitfree` — wait-free primitives for the engine's hot paths
 //!
 //! The paper this workspace reproduces is about achieving wait-free
-//! coordination with registers, yet for nine PRs the engine's own
-//! hottest shared structures were lock-based: the span collector was a
-//! global `Mutex<Vec<_>>`, the explorer pool parked results behind
-//! `Mutex<Option<R>>` slots, and service workers handed response bytes
-//! to the IO thread under a per-connection mutex. This crate eats the
-//! dogfood: three register-style wait-free primitives, in the spirit of
-//! the SRSW→MRSW construction ladder the `wfc-registers` crate builds
-//! for the paper itself.
+//! coordination with registers. This crate applies the same discipline
+//! to two of the engine's shared structures: the span collector (once
+//! a global `Mutex<Vec<_>>`) publishes through triple buffers, and the
+//! explorer pool (once `Mutex<Option<R>>` slots) parks results in
+//! write-once cells. Three register-style wait-free primitives, in the
+//! spirit of the SRSW→MRSW construction ladder the `wfc-registers`
+//! crate builds for the paper itself:
 //!
 //! * [`spsc`] — a bounded single-producer/single-consumer ring. The
 //!   fast path is one acquire load and one release store per operation,
 //!   no CAS: with exactly one writer per index cell, plain
 //!   publish-by-store suffices (the same single-writer discipline that
-//!   lets the paper's constructions avoid stronger objects).
+//!   lets the paper's constructions avoid stronger objects). No hot
+//!   path uses it; it stays as the `ring`/`ring_broken` model-checking
+//!   fixture.
 //! * [`triple`] — a triple buffer: wait-free single-writer snapshot
 //!   publication through a 2-bit swap word. Writer and reader each own
 //!   one of three buffers at all times and trade the third through one
@@ -41,8 +42,8 @@
 //!
 //! The raw primitives move `Copy` values through
 //! [`RawData`](wfc_registers::RawData) slots. Production callers that
-//! need owned payloads (response frames, span batches, arbitrary pool
-//! results) use the [`boxed`] wrappers, which move `Box`es through a
+//! need owned payloads (span batches, arbitrary pool results) use the
+//! [`boxed`] wrappers, which move `Box`es through a
 //! `usize`-typed primitive and confine the pointer `unsafe` to one
 //! audited module.
 
@@ -54,7 +55,7 @@ pub mod cell;
 pub mod spsc;
 pub mod triple;
 
-pub use boxed::{snapshot, BoxRing, ResultCell, SnapshotPublisher, SnapshotSubscriber};
+pub use boxed::{snapshot, ResultCell, SnapshotPublisher, SnapshotSubscriber};
 pub use cell::WriteOnce;
 pub use spsc::{ring, SpscConsumer, SpscProducer, SpscRing};
 pub use triple::{triple_buffer, triple_buffer_each, TriplePublisher, TripleSubscriber};

@@ -37,6 +37,11 @@
 //! `theorem5`, and `query` with any kind) share one code path with the
 //! server workers, so direct and served results are byte-identical.
 //!
+//! With `WFC_OBS=1` or `WFC_OBS_JSON=DIR`, the analysis subcommands
+//! (`classify`, `witness`, `access-bounds`, `theorem5`, `sched`,
+//! `scenario`) emit one `wfc-obs/v1` run report, `wfc-<subcommand>`,
+//! when they finish; `serve` and `loadgen` emit their own.
+//!
 //! Exit codes: 0 success, 1 error, 2 usage, 3 server busy.
 
 use std::error::Error;
@@ -1081,6 +1086,13 @@ fn main() -> ExitCode {
         [cmd, kind, path, rest @ ..] if cmd == "query" => cmd_query(kind, path, rest),
         _ => return usage(),
     };
+    let analysis = matches!(
+        args[0].as_str(),
+        "classify" | "witness" | "access-bounds" | "theorem5" | "sched" | "scenario"
+    );
+    if analysis && wfc_obs::emission_requested() {
+        wfc_obs::report::RunReport::collect(&format!("wfc-{}", args[0])).emit();
+    }
     match result {
         Ok(code) => code,
         Err(e) => {

@@ -82,6 +82,27 @@ fn repeated_query_does_zero_explorer_work() {
     assert_eq!(counter(&after_second, "service.cache.mem.hits"), 1);
     assert_eq!(counter(&after_second, "service.cache.mem.misses"), 0);
 
+    // A fresh access-bounds miss runs the protocol pass; the registry
+    // must still hold what the server recorded for it afterwards.
+    registry.reset();
+    match client
+        .query(QueryKind::AccessBounds, &tas, &options)
+        .unwrap()
+    {
+        Response::Ok { cached, .. } => assert!(!cached),
+        other => panic!("unexpected {other:?}"),
+    }
+    let after_bounds = registry.snapshot();
+    assert_eq!(
+        counter(&after_bounds, "service.cache.mem.misses"),
+        1,
+        "the access-bounds miss wiped the registry: {after_bounds:?}"
+    );
+    assert!(
+        counter(&after_bounds, "explorer.configs") > 0,
+        "the access-bounds miss wiped the registry: {after_bounds:?}"
+    );
+
     handle.shutdown();
     registry.reset();
     wfc_obs::set_enabled(false);
