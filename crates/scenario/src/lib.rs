@@ -24,7 +24,7 @@
 //! kinds ([`Scenario::lower`]), and the result-document schema
 //! ([`SCHEMA`], [`result_doc`](Scenario::result_doc),
 //! [`validate_scenario_json`]). **Execution** lives in `wfc-service`,
-//! which maps each lowered step onto its single `run_query` path — that
+//! which parses each lowered step into its single `Query` path — that
 //! is what makes scenario results byte-identical whether served, run by
 //! `wfc scenario run`, or produced by a direct library call.
 //!

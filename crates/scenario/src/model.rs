@@ -77,11 +77,11 @@ pub enum TypeDecl {
     },
 }
 
-/// Scenario-level budgets. Every field is optional; set fields override
-/// the request-level `QueryOptions` (for the exploration queries) or are
-/// merged into sched specs that do not set their own, and are part of
-/// the canonical text — budgets change results, so they are cache
-/// identity.
+/// Scenario-level budgets, the only budgets a scenario runs under.
+/// Every field is optional; set fields override the default
+/// exploration budgets (for the exploration queries) or are merged into
+/// sched specs that do not set their own, and are part of the canonical
+/// text — budgets change results, so they are cache identity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioBudget {
     /// `configs=` — explorer `max_configs`.

@@ -1,22 +1,27 @@
-//! The shared query engine behind both `wfc query`/`wfc serve` and the
-//! direct CLI subcommands.
+//! The shared query engine behind `wfc serve`, `wfc query`, the
+//! scenario runner and the direct CLI subcommands.
 //!
-//! Everything funnels through [`run_query`], so a direct library call, a
-//! `wfc access-bounds` invocation and a served request produce
-//! **byte-identical** result documents — the property the differential
-//! tests pin down. Result documents are [`Json`] values; `Json::render`
-//! is deterministic (ordered keys, canonical number formatting), so
-//! byte-level equality of rendered results is meaningful.
+//! Every request kind parses into one [`Query`] with one identity (the
+//! cache's input), one budget rule and one dispatch, so a direct
+//! library call, a `wfc access-bounds` invocation and a served request
+//! produce **byte-identical** result documents — the property the
+//! differential tests pin down. Result documents are [`Json`] values;
+//! `Json::render` is deterministic (ordered keys, canonical number
+//! formatting), so byte-level equality of rendered results is
+//! meaningful.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
+use std::time::Duration;
 
 use wfc_consensus::{ConsensusSystem, ProtocolRuns};
 use wfc_core::{AccessBounds, DeriveError, TransformError};
 use wfc_explorer::{ExploreOptions, ExplorerError};
 use wfc_obs::json::Json;
+use wfc_scenario::{LoweredQuery, Scenario};
 use wfc_sched::{SchedError, SchedSpec};
 use wfc_spec::control::{CancelToken, Exhausted, Progress, Resource, Wall};
+use wfc_spec::text::format_type;
 use wfc_spec::FiniteType;
 
 use crate::wire::{QueryKind, QueryOptions};
@@ -128,43 +133,6 @@ fn from_sched(e: SchedError) -> QueryError {
     }
 }
 
-/// Parses a sched query line (`<target> [key=value…]`) into its fully
-/// resolved spec. The spec's [`canonical_text`](SchedSpec::canonical_text)
-/// is the string the cache hashes.
-///
-/// # Errors
-///
-/// [`QueryError::Parse`] on an unknown target, key, or malformed value.
-pub fn parse_sched_spec(text: &str) -> Result<SchedSpec, QueryError> {
-    text.parse().map_err(from_sched)
-}
-
-/// Runs a sched spec to its canonical result document — the single code
-/// path shared by `wfc sched`, the server workers, and the differential
-/// tests, so served and direct results are byte-identical.
-///
-/// # Errors
-///
-/// [`QueryError::Exhausted`] when exploration outgrows the spec's
-/// schedule budget (resource `schedules`) or an imposed deadline,
-/// [`QueryError::Analysis`] on replay mismatches or step-limit
-/// overruns.
-pub fn run_sched(spec: &SchedSpec) -> Result<Json, QueryError> {
-    run_sched_with(spec, CancelToken::NONE, None)
-}
-
-/// [`run_sched`] under external control: a serving layer's cancellation
-/// token and wall-clock deadline, polled at schedule boundaries. With
-/// an inert token and no deadline this is exactly `run_sched` —
-/// control signals never change a completed query's document.
-pub fn run_sched_with(
-    spec: &SchedSpec,
-    cancel: CancelToken,
-    wall: Option<Wall>,
-) -> Result<Json, QueryError> {
-    spec.run_with(cancel, wall).map_err(from_sched)
-}
-
 fn from_derive(e: DeriveError) -> QueryError {
     match e {
         DeriveError::Trivial { type_name } => QueryError::Unsupported(format!(
@@ -172,24 +140,6 @@ fn from_derive(e: DeriveError) -> QueryError {
         )),
         DeriveError::Analysis(inner) => QueryError::Unsupported(inner.to_string()),
     }
-}
-
-/// Parses a type in the `wfc-spec` text format into the form the query
-/// engine wants.
-pub fn parse_query_type(text: &str) -> Result<Arc<FiniteType>, QueryError> {
-    wfc_spec::text::parse_type(text)
-        .map(Arc::new)
-        .map_err(|e| QueryError::Parse(e.to_string()))
-}
-
-/// Converts wire-level budgets into explorer options. Observability
-/// stays at its global default so served queries record metrics exactly
-/// when the process has `wfc-obs` enabled.
-pub fn explore_options(q: &QueryOptions) -> ExploreOptions {
-    ExploreOptions::default()
-        .with_max_configs(q.max_configs)
-        .with_max_depth(q.max_depth)
-        .with_threads(q.threads)
 }
 
 /// A consensus protocol registered for a canonical type, used by the
@@ -291,8 +241,12 @@ pub fn protocol_by_name(name: &str) -> Option<ProtocolEntry> {
     }
 }
 
-fn require_protocol(ty: &FiniteType) -> Result<ProtocolEntry, QueryError> {
-    protocol_for_type(ty).ok_or_else(|| {
+/// `over`, or else the protocol registered for `ty`.
+fn resolve_protocol(
+    ty: &FiniteType,
+    over: Option<ProtocolEntry>,
+) -> Result<ProtocolEntry, QueryError> {
+    over.or_else(|| protocol_for_type(ty)).ok_or_else(|| {
         QueryError::Unsupported(format!(
             "no consensus protocol is registered for type `{}`; exploration \
              queries support the canonical zoo protocols (test_and_set, \
@@ -301,16 +255,6 @@ fn require_protocol(ty: &FiniteType) -> Result<ProtocolEntry, QueryError> {
             ty.name()
         ))
     })
-}
-
-fn resolve_protocol(
-    ty: &FiniteType,
-    over: Option<ProtocolEntry>,
-) -> Result<ProtocolEntry, QueryError> {
-    match over {
-        Some(p) => Ok(p),
-        None => require_protocol(ty),
-    }
 }
 
 fn depths_json(depths: &[usize]) -> Json {
@@ -464,7 +408,7 @@ fn witness(ty: &Arc<FiniteType>, opts: &ExploreOptions) -> Result<Json, QueryErr
 /// options — and drops it when the run ends. Nothing here outlives a
 /// request.
 #[derive(Debug, Default)]
-pub(crate) struct ProtocolPass {
+struct ProtocolPass {
     runs: Option<ProtocolRuns>,
     bounds: Option<AccessBounds>,
 }
@@ -550,151 +494,273 @@ fn verify_consensus(
     p: ProtocolEntry,
     pass: &mut ProtocolPass,
 ) -> Result<Json, QueryError> {
-    let verdict = pass.runs(p, opts)?.verdict();
-    let mut fields = vec![
+    let verdict = verdict_json(&pass.runs(p, opts)?.verdict());
+    let mut doc = Json::obj(vec![
         ("type", Json::Str(ty.name().to_owned())),
         ("protocol", Json::Str(p.label.to_owned())),
         ("n", Json::U64(p.n as u64)),
-    ];
-    if let Json::Obj(pairs) = verdict_json(&verdict) {
-        for (k, v) in pairs {
-            match k.as_str() {
-                "D" => fields.push(("D", v)),
-                "depth_per_tree" => fields.push(("depth_per_tree", v)),
-                "total_configs" => fields.push(("total_configs", v)),
-                "agreement" => fields.push(("agreement", v)),
-                "validity" => fields.push(("validity", v)),
-                "holds" => fields.push(("holds", v)),
-                _ => {}
+    ]);
+    if let (Json::Obj(fields), Json::Obj(verdict)) = (&mut doc, verdict) {
+        fields.extend(verdict);
+    }
+    Ok(doc)
+}
+
+/// One parsed query of any kind: the single request path.
+///
+/// The server workers, [`run_query_text`], each step of a scenario and
+/// every `wfc` subcommand that prints a result document parse their
+/// input into a `Query`, key it by [`identity`](Query::identity) and
+/// [`run`](Query::run) it, so served and direct results are
+/// byte-identical by construction.
+///
+/// A query's budgets are part of its identity, and each kind carries
+/// them in one place: a type query in the request's `max_configs` and
+/// `max_depth`, a sched spec in its `budget=`/`steps=` words, a
+/// scenario in its `budget` directive (the request's budgets do not
+/// apply to it). `threads` is never identity: every analysis is
+/// bit-identical across thread counts.
+#[derive(Clone, Debug)]
+pub struct Query {
+    kind: QueryKind,
+    identity: String,
+    body: Body,
+}
+
+#[derive(Clone, Debug)]
+enum Body {
+    /// `classify`, `witness`, `access-bounds`, `theorem5` and
+    /// `verify-consensus`: a type under the request's options.
+    Type {
+        ty: Arc<FiniteType>,
+        options: QueryOptions,
+    },
+    Sched(SchedSpec),
+    /// A scenario; `options` are its effective exploration budgets —
+    /// the defaults overridden by its `budget` directive — and the
+    /// request's `threads`.
+    Scenario {
+        scenario: Scenario,
+        options: QueryOptions,
+    },
+}
+
+impl Query {
+    /// Parses `text` as a query of `kind`: a type in the `wfc-spec`
+    /// text format, a sched spec line (`<target> [key=value…]`), or a
+    /// scenario file. `options` supply a type query's budgets and every
+    /// kind's `threads`.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Parse`] when the text does not parse (a scenario's
+    /// message carries the parser's `line, column`), and
+    /// [`QueryError::Unsupported`] for `stats`, which a live server
+    /// answers inline and which has no analysis.
+    pub fn parse(kind: QueryKind, text: &str, options: &QueryOptions) -> Result<Query, QueryError> {
+        let body = match kind {
+            QueryKind::Sched => Body::Sched(text.parse().map_err(from_sched)?),
+            QueryKind::Scenario => {
+                let scenario = wfc_scenario::parse_scenario(text)
+                    .map_err(|e| QueryError::Parse(e.to_string()))?;
+                let bound = |v: Option<u64>, default: usize| {
+                    v.map_or(default, |v| usize::try_from(v).unwrap_or(usize::MAX))
+                };
+                let d = QueryOptions::default();
+                let options = QueryOptions {
+                    max_configs: bound(scenario.budget.configs, d.max_configs),
+                    max_depth: bound(scenario.budget.depth, d.max_depth),
+                    threads: options.threads,
+                };
+                Body::Scenario { scenario, options }
+            }
+            QueryKind::Stats => {
+                return Err(QueryError::Unsupported(
+                    "stats is a live-server introspection query; it is answered \
+                     inline by `wfc serve` and has no direct analysis"
+                        .to_owned(),
+                ))
+            }
+            _ => Body::Type {
+                ty: wfc_spec::text::parse_type(text)
+                    .map(Arc::new)
+                    .map_err(|e| QueryError::Parse(e.to_string()))?,
+                options: *options,
+            },
+        };
+        let identity = match &body {
+            Body::Type { ty, options } => {
+                let mut text = format_type(ty);
+                let (configs, depth) = (options.max_configs, options.max_depth);
+                let _ = writeln!(text, "max_configs={configs} max_depth={depth}");
+                text
+            }
+            Body::Sched(spec) => spec.canonical_text(),
+            Body::Scenario { scenario, .. } => scenario.canonical_text(),
+        };
+        Ok(Query {
+            kind,
+            identity,
+            body,
+        })
+    }
+
+    /// The canonical text the cache hashes (with the kind, see
+    /// [`cache_key`](crate::cache_key)), fixed at parse: the
+    /// `format_type` rendering and budgets of a type query, a sched
+    /// spec's or a scenario's canonical text. Respellings of one query
+    /// share an identity.
+    pub fn identity(&self) -> &str {
+        &self.identity
+    }
+
+    /// What the query is about, for logs and the disk cache: the type
+    /// name, the sched target, or the scenario name.
+    pub fn name(&self) -> &str {
+        match &self.body {
+            Body::Type { ty, .. } => ty.name(),
+            Body::Sched(spec) => &spec.target,
+            Body::Scenario { scenario, .. } => &scenario.name,
+        }
+    }
+
+    /// Caps what this query runs — its exploration `max_configs` and
+    /// its `threads` (at least 1) — without changing its
+    /// [`identity`](Query::identity). A document computed under the cap
+    /// is the one the uncapped query computes; a query the cap cuts
+    /// short fails, and failures are never cached.
+    pub(crate) fn clamp(&mut self, max_configs: usize, max_threads: usize) {
+        if let Body::Type { options, .. } | Body::Scenario { options, .. } = &mut self.body {
+            options.max_configs = options.max_configs.min(max_configs);
+            options.threads = options.threads.clamp(1, max_threads.max(1));
+        }
+    }
+
+    /// Runs the query to its canonical result document under a
+    /// cancellation token and an optional wall-clock deadline, polled
+    /// at the engine's sync points. Neither ever changes a completed
+    /// query's document.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError`]: unsupported types, analysis failures, exhausted
+    /// budgets, or cancellation. A scenario's expectation failure is
+    /// not an error: it lands in its document as `pass: false`.
+    pub fn run(&self, cancel: CancelToken, wall: Option<Wall>) -> Result<Json, QueryError> {
+        self.run_on(cancel, wall, None, &mut ProtocolPass::default())
+    }
+
+    /// [`Query::run`] with the exploration queries' protocol overridden
+    /// by `protocol` and read off `pass`, which explores it on first
+    /// use.
+    fn run_on(
+        &self,
+        cancel: CancelToken,
+        wall: Option<Wall>,
+        protocol: Option<ProtocolEntry>,
+        pass: &mut ProtocolPass,
+    ) -> Result<Json, QueryError> {
+        match &self.body {
+            Body::Type { ty, options } => {
+                let mut opts = ExploreOptions::default()
+                    .with_max_configs(options.max_configs)
+                    .with_max_depth(options.max_depth)
+                    .with_threads(options.threads)
+                    .with_cancel(cancel);
+                opts.budget.wall = wall;
+                match self.kind {
+                    QueryKind::Classify => classify(ty),
+                    QueryKind::Witness => witness(ty, &opts),
+                    QueryKind::AccessBounds => {
+                        access_bounds(ty, &opts, resolve_protocol(ty, protocol)?, pass)
+                    }
+                    QueryKind::Theorem5 => {
+                        theorem5(ty, &opts, resolve_protocol(ty, protocol)?, pass)
+                    }
+                    QueryKind::VerifyConsensus => {
+                        verify_consensus(ty, &opts, resolve_protocol(ty, protocol)?, pass)
+                    }
+                    QueryKind::Sched | QueryKind::Scenario | QueryKind::Stats => {
+                        unreachable!("Query::parse gives only type kinds a type body")
+                    }
+                }
+            }
+            Body::Sched(spec) => spec.run_with(cancel, wall).map_err(from_sched),
+            Body::Scenario { scenario, options } => {
+                let protocol = match &scenario.protocol {
+                    Some(name) => Some(protocol_by_name(name).ok_or_else(|| {
+                        QueryError::Unsupported(format!(
+                            "no consensus protocol is registered under the name `{name}` \
+                             (known: cas_announce)"
+                        ))
+                    })?),
+                    None => None,
+                };
+                run_scenario(scenario, options, cancel, wall, protocol)
             }
         }
     }
-    Ok(Json::obj(fields))
 }
 
-/// Runs one analysis query and produces its canonical result document.
-///
-/// This is **the** code path: the CLI's direct subcommands, the server's
-/// workers and the differential tests all call it, which is what makes
-/// served results bit-identical to direct library calls.
-///
-/// # Errors
-///
-/// [`QueryError`] — parse failures, unsupported types, analysis
-/// failures, exhausted budgets, or cancellation.
-pub fn run_query(
-    kind: QueryKind,
-    ty: &Arc<FiniteType>,
-    opts: &ExploreOptions,
-) -> Result<Json, QueryError> {
-    run_query_with_protocol(kind, ty, opts, None)
-}
-
-/// [`run_query`] with an optional protocol override for the exploration
-/// queries (`access-bounds`, `theorem5`, `verify-consensus`) — the hook
-/// a scenario's `protocol NAME` directive uses. With `None` this **is**
-/// `run_query`: both paths run the same code, so overridden and default
-/// runs stay byte-identical per protocol choice.
-///
-/// # Errors
-///
-/// As [`run_query`].
-pub fn run_query_with_protocol(
-    kind: QueryKind,
-    ty: &Arc<FiniteType>,
-    opts: &ExploreOptions,
-    protocol: Option<ProtocolEntry>,
-) -> Result<Json, QueryError> {
-    run_query_on(kind, ty, opts, protocol, &mut ProtocolPass::default())
-}
-
-/// [`run_query_with_protocol`] reading the exploration queries off
-/// `pass`, which explores the protocol on first use.
-pub(crate) fn run_query_on(
-    kind: QueryKind,
-    ty: &Arc<FiniteType>,
-    opts: &ExploreOptions,
-    protocol: Option<ProtocolEntry>,
-    pass: &mut ProtocolPass,
-) -> Result<Json, QueryError> {
-    match kind {
-        QueryKind::Classify => classify(ty),
-        QueryKind::Witness => witness(ty, opts),
-        QueryKind::AccessBounds => access_bounds(ty, opts, resolve_protocol(ty, protocol)?, pass),
-        QueryKind::Theorem5 => theorem5(ty, opts, resolve_protocol(ty, protocol)?, pass),
-        QueryKind::VerifyConsensus => {
-            verify_consensus(ty, opts, resolve_protocol(ty, protocol)?, pass)
-        }
-        QueryKind::Sched => Err(QueryError::Unsupported(
-            "sched queries take a fixture spec, not a type; use run_sched \
-             (or run_query_text, which dispatches on the kind)"
-                .to_owned(),
-        )),
-        QueryKind::Scenario => Err(QueryError::Unsupported(
-            "scenario queries take a scenario file, not a type; use \
-             run_scenario (or run_query_text, which dispatches on the kind)"
-                .to_owned(),
-        )),
-        QueryKind::Stats => Err(QueryError::Unsupported(
-            "stats is a live-server introspection query; it is answered \
-             inline by `wfc serve` and has no direct analysis"
-                .to_owned(),
-        )),
-    }
-}
-
-/// Parses the query text and runs the query — the convenience used by
-/// both the CLI subcommands and the server worker.
-///
-/// For [`QueryKind::Sched`] the text is a sched spec line, not a type,
-/// and `options` is ignored: the checker's budgets travel inside the
-/// spec itself (`budget=`, `steps=`), where they are part of the cache
-/// identity.
-pub fn run_query_text(
-    kind: QueryKind,
-    type_text: &str,
-    options: &QueryOptions,
-) -> Result<Json, QueryError> {
-    run_query_text_with(kind, type_text, options, CancelToken::NONE, None)
-}
-
-/// [`run_query_text`] under external control: the serving layer's
-/// cancellation token and per-request wall-clock deadline are threaded
-/// into whichever engine the query kind dispatches to — the explorer,
-/// the sched checker, or the witness search — and polled at that
-/// engine's sync points. With an inert token and no deadline this is
-/// exactly `run_query_text`.
-pub fn run_query_text_with(
-    kind: QueryKind,
-    type_text: &str,
+/// Runs a scenario's queries in file order, each through [`Query`]
+/// under the scenario's effective `options`, and assembles its
+/// `wfc-scenario/v1` document. The exploration queries share one
+/// [`ProtocolPass`], so the protocol's trees are explored once per run;
+/// a `wall-ms` budget tightens the deadline, never loosens it. The
+/// first query to fail aborts the run with its error.
+fn run_scenario(
+    sc: &Scenario,
     options: &QueryOptions,
     cancel: CancelToken,
     wall: Option<Wall>,
+    protocol: Option<ProtocolEntry>,
 ) -> Result<Json, QueryError> {
-    if kind == QueryKind::Sched {
-        return run_sched_with(&parse_sched_spec(type_text)?, cancel, wall);
+    let own = sc
+        .budget
+        .wall_ms
+        .map(|ms| Wall::expires_in(Duration::from_millis(ms)));
+    let wall = match (wall, own) {
+        (Some(x), Some(y)) => Some(if x.deadline <= y.deadline { x } else { y }),
+        (x, y) => x.or(y),
+    };
+    let mut pass = ProtocolPass::default();
+    let mut results = Vec::with_capacity(sc.queries.len());
+    for step in sc.lower() {
+        let step = match step {
+            LoweredQuery::Type { kind, type_text } => {
+                let kind = QueryKind::parse(&kind)
+                    .expect("the scenario parser only admits engine query kinds");
+                Query::parse(kind, &type_text, options)?
+            }
+            LoweredQuery::Sched { spec_text } => {
+                Query::parse(QueryKind::Sched, &spec_text, options)?
+            }
+        };
+        results.push(step.run_on(cancel, wall, protocol, &mut pass)?);
     }
-    if kind == QueryKind::Scenario {
-        return crate::scenario::run_scenario_text_with(type_text, options, cancel, wall);
-    }
-    if kind == QueryKind::Stats {
-        return Err(QueryError::Unsupported(
-            "stats is a live-server introspection query; it is answered \
-             inline by `wfc serve` and has no direct analysis"
-                .to_owned(),
-        ));
-    }
-    let ty = parse_query_type(type_text)?;
-    let mut opts = explore_options(options).with_cancel(cancel);
-    opts.budget.wall = wall;
-    run_query(kind, &ty, &opts)
+    Ok(sc.result_doc(&results))
+}
+
+/// Parses and runs one query with no deadline — `Query::parse` then
+/// [`Query::run`].
+///
+/// # Errors
+///
+/// As [`Query::parse`] and [`Query::run`].
+pub fn run_query_text(
+    kind: QueryKind,
+    text: &str,
+    options: &QueryOptions,
+) -> Result<Json, QueryError> {
+    Query::parse(kind, text, options)?.run(CancelToken::NONE, None)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use wfc_spec::canonical;
-    use wfc_spec::text::format_type;
 
     #[test]
     fn classify_reports_both_cases() {
@@ -784,5 +850,89 @@ mod tests {
         assert_eq!(budget, 3);
         assert!(used > 3);
         assert_eq!(err.code(), "budget-exceeded");
+    }
+
+    /// Systems built by [`counting_cas_announce`]; only the test below
+    /// builds with it.
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+    fn counting_cas_announce(inputs: &[bool]) -> ConsensusSystem {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        wfc_consensus::cas_announce_consensus_system(inputs)
+    }
+
+    /// A scenario holding all three exploration queries builds (and so
+    /// explores) each of the protocol's `2^n` systems once, and each
+    /// query's result is the one the query reports on its own.
+    #[test]
+    fn a_scenario_explores_its_protocol_once() {
+        let sc = wfc_scenario::parse_scenario(
+            "scenario count\ntype builtin cas\nquery access-bounds\n\
+             query theorem5 expect=holds\nquery verify-consensus expect=holds\n",
+        )
+        .unwrap();
+        let entry = ProtocolEntry {
+            label: "cas+announce registers",
+            n: 3,
+            build: counting_cas_announce,
+        };
+        let options = QueryOptions::default();
+        let doc = run_scenario(&sc, &options, CancelToken::NONE, None, Some(entry)).unwrap();
+        assert_eq!(BUILDS.load(Ordering::Relaxed), 1 << 3, "one build per tree");
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
+
+        let type_text = format_type(&sc.resolved);
+        let Some(Json::Arr(queries)) = doc.get("queries") else {
+            panic!("a result document lists its queries: {}", doc.render());
+        };
+        for (kind, q) in [
+            QueryKind::AccessBounds,
+            QueryKind::Theorem5,
+            QueryKind::VerifyConsensus,
+        ]
+        .into_iter()
+        .zip(queries)
+        {
+            let alone = Query::parse(kind, &type_text, &options)
+                .unwrap()
+                .run_on(
+                    CancelToken::NONE,
+                    None,
+                    Some(entry),
+                    &mut ProtocolPass::default(),
+                )
+                .unwrap();
+            assert_eq!(q.get("result"), Some(&alone), "{kind:?}");
+        }
+    }
+
+    /// The cap binds what a scenario runs — the effective budget its own
+    /// `budget` directive sets — and a type query's request budget, and
+    /// leaves both identities (the cache key's input) untouched.
+    #[test]
+    fn clamp_caps_what_runs_but_not_the_identity() {
+        let text = "scenario big\ntype builtin tas\nbudget configs=1000000000\nquery witness\n";
+        let options = QueryOptions::default().with_threads(64);
+        let mut scenario = Query::parse(QueryKind::Scenario, text, &options).unwrap();
+        let tas = format_type(&canonical::test_and_set(2));
+        let mut typed = Query::parse(
+            QueryKind::Witness,
+            &tas,
+            &options.with_max_configs(1_000_000_000),
+        )
+        .unwrap();
+        let runs = |query: &Query| match &query.body {
+            Body::Type { options, .. } | Body::Scenario { options, .. } => {
+                (options.max_configs, options.threads)
+            }
+            Body::Sched(_) => panic!("both queries explore"),
+        };
+        for query in [&mut scenario, &mut typed] {
+            let before = query.identity().to_owned();
+            assert_eq!(runs(query), (1_000_000_000, 64), "what was asked");
+            query.clamp(4_000_000, 8);
+            assert_eq!(runs(query), (4_000_000, 8));
+            assert_eq!(query.identity(), before, "the key is what was asked");
+        }
     }
 }

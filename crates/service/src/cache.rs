@@ -1,15 +1,18 @@
 //! The two-tier result cache in front of the query engine.
 //!
 //! **Key.** [`cache_key`] hashes `(protocol version, query kind,
-//! canonical type text, max_configs, max_depth)` with the FNV-1a-128
-//! hasher from `wfc_spec::hash`. The type is rendered with
-//! `format_type` first, so whitespace and comments in the submitted
-//! text do not fragment the cache. `threads` is deliberately excluded:
-//! every analysis is bit-identical across thread counts (the
-//! parallel-differential tests enforce this), so a result computed at
-//! one parallelism must be served to clients asking at another.
-//! `obs` settings never enter the key either — they are write-only
-//! telemetry.
+//! identity)` with the FNV-1a-128 hasher from `wfc_spec::hash`, where
+//! the identity is [`Query::identity`](crate::Query::identity): the
+//! canonical text of the query with its budgets included — a type's
+//! `format_type` rendering plus the request's `max_configs` and
+//! `max_depth`, a sched spec's canonical text (budget words resolved),
+//! or a scenario's canonical text (its `budget` directive included).
+//! Whitespace, comments and respellings therefore do not fragment the
+//! cache. `threads` is deliberately excluded: every analysis is
+//! bit-identical across thread counts (the parallel-differential tests
+//! enforce this), so a result computed at one parallelism must be
+//! served to clients asking at another. The server's caps on what
+//! runs stay out too, and so do `obs` settings (write-only telemetry).
 //!
 //! **Tiers.** An in-memory sharded LRU of `Arc<Json>` results, then an
 //! optional append-only disk tier (one `entry-<key>.json` file per
@@ -19,9 +22,9 @@
 //! **Single-flight.** Concurrent requests for the same key coalesce:
 //! one leader computes, followers block on a condvar and receive the
 //! leader's `Arc`. Errors are delivered to every waiter but **never
-//! cached** — a budget failure must not poison the key for a later,
-//! larger budget... which would be a different key anyway; more to the
-//! point, a transient failure must not become permanent.
+//! cached**: a query the server's cap cut short must not become the
+//! answer under its uncapped key, and a transient failure must not
+//! become permanent.
 
 use std::collections::HashMap;
 use std::fs;
@@ -32,55 +35,23 @@ use std::sync::{Arc, Condvar, Mutex};
 use wfc_obs::json::Json;
 use wfc_repl::durable::write_durably;
 use wfc_spec::hash::{Hash128, Hasher128};
-use wfc_spec::text::format_type;
-use wfc_spec::FiniteType;
 
 use crate::analysis::QueryError;
-use crate::wire::{QueryKind, QueryOptions, PROTO};
+use crate::wire::{QueryKind, PROTO};
 
 /// Schema identifier written into every disk-cache file.
 pub const CACHE_SCHEMA: &str = "wfc-svc-cache/v1";
 
 const SHARDS: usize = 8;
 
-/// The cache identity of a query. See the module docs for what is —
-/// and is not — part of the key.
-pub fn cache_key(kind: QueryKind, ty: &FiniteType, options: &QueryOptions) -> Hash128 {
+/// The cache key of a query: the protocol version, the kind and the
+/// query's [`identity`](crate::Query::identity). See the module docs
+/// for what is — and is not — part of the identity.
+pub fn cache_key(kind: QueryKind, identity: &str) -> Hash128 {
     let mut h = Hasher128::new();
     h.write_str(PROTO);
     h.write_str(kind.as_str());
-    h.write_str(&format_type(ty));
-    h.write_u64(options.max_configs as u64);
-    h.write_u64(options.max_depth as u64);
-    // options.threads intentionally NOT hashed.
-    h.finish()
-}
-
-/// The cache identity of a `sched` query: the protocol version, the
-/// kind, and the spec's canonical text. The canonical rendering already
-/// resolves every default (mode, seed, budgets, replay), so equal keys
-/// mean equal configurations — and the explorer's verdicts are
-/// deterministic, so equal configurations mean equal result bytes.
-/// `QueryOptions` does not participate: the checker's budgets travel
-/// inside the spec.
-pub fn sched_cache_key(canonical_spec: &str) -> Hash128 {
-    let mut h = Hasher128::new();
-    h.write_str(PROTO);
-    h.write_str(QueryKind::Sched.as_str());
-    h.write_str(canonical_spec);
-    h.finish()
-}
-
-/// The cache identity of a `scenario` query: the protocol version, the
-/// kind, and the scenario's canonical text. Like `sched`, budgets travel
-/// inside the text (the `budget` directive participates in
-/// canonicalization), so `QueryOptions` does not contribute; respelled
-/// but canonically equal files land on the same line.
-pub fn scenario_cache_key(canonical_scenario: &str) -> Hash128 {
-    let mut h = Hasher128::new();
-    h.write_str(PROTO);
-    h.write_str(QueryKind::Scenario.as_str());
-    h.write_str(canonical_scenario);
+    h.write_str(identity);
     h.finish()
 }
 
@@ -449,7 +420,14 @@ pub fn validate_cache_json(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::QueryOptions;
+    use crate::Query;
     use wfc_spec::canonical;
+
+    fn key_of(kind: QueryKind, ty: &wfc_spec::FiniteType, options: &QueryOptions) -> Hash128 {
+        let text = wfc_spec::text::format_type(ty);
+        cache_key(kind, Query::parse(kind, &text, options).unwrap().identity())
+    }
 
     fn opts() -> QueryOptions {
         QueryOptions::default()
@@ -458,38 +436,41 @@ mod tests {
     #[test]
     fn key_ignores_threads_and_formatting_but_not_budgets() {
         let ty = canonical::test_and_set(2);
-        let base = cache_key(QueryKind::AccessBounds, &ty, &opts());
+        let base = key_of(QueryKind::AccessBounds, &ty, &opts());
         assert_eq!(
             base,
-            cache_key(QueryKind::AccessBounds, &ty, &opts().with_threads(4)),
+            key_of(QueryKind::AccessBounds, &ty, &opts().with_threads(4)),
             "thread count must not fragment the cache"
         );
-        // Reparsing the canonical rendering (or a comment-laden copy)
-        // yields the same key because the key hashes format_type output.
-        let text = format_type(&ty);
+        // A comment-laden copy of the canonical rendering yields the
+        // same key because the identity is format_type output.
+        let text = wfc_spec::text::format_type(&ty);
         let noisy = format!("# a comment\n{}", text.replace('\n', "\n\n"));
-        let reparsed = wfc_spec::text::parse_type(&noisy).unwrap();
-        assert_eq!(base, cache_key(QueryKind::AccessBounds, &reparsed, &opts()));
+        let reparsed = Query::parse(QueryKind::AccessBounds, &noisy, &opts()).unwrap();
+        assert_eq!(
+            base,
+            cache_key(QueryKind::AccessBounds, reparsed.identity())
+        );
         // But kind and budgets are identity.
-        assert_ne!(base, cache_key(QueryKind::Theorem5, &ty, &opts()));
+        assert_ne!(base, key_of(QueryKind::Theorem5, &ty, &opts()));
         assert_ne!(
             base,
-            cache_key(QueryKind::AccessBounds, &ty, &opts().with_max_configs(10))
+            key_of(QueryKind::AccessBounds, &ty, &opts().with_max_configs(10))
         );
         assert_ne!(
             base,
-            cache_key(QueryKind::AccessBounds, &ty, &opts().with_max_depth(10))
+            key_of(QueryKind::AccessBounds, &ty, &opts().with_max_depth(10))
         );
         // And distinct types collide with nothing in the zoo.
         let other = canonical::sticky_bit(2);
-        assert_ne!(base, cache_key(QueryKind::AccessBounds, &other, &opts()));
+        assert_ne!(base, key_of(QueryKind::AccessBounds, &other, &opts()));
     }
 
     #[test]
     fn memory_tier_hits_and_evicts() {
         let cache = ResultCache::new(SHARDS, None).unwrap(); // 1 slot per shard
         let ty = canonical::test_and_set(2);
-        let key = cache_key(QueryKind::Classify, &ty, &opts());
+        let key = key_of(QueryKind::Classify, &ty, &opts());
         let doc = Json::obj(vec![("x", Json::U64(1))]);
         let (v1, how) = cache
             .get_or_compute(key, QueryKind::Classify, "t", || Ok(doc.clone()))
@@ -603,7 +584,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wfc-svc-cache-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let ty = canonical::test_and_set(2);
-        let key = cache_key(QueryKind::Witness, &ty, &opts());
+        let key = key_of(QueryKind::Witness, &ty, &opts());
         let doc = Json::obj(vec![("witness", Json::Null)]);
         {
             let cache = ResultCache::new(16, Some(dir.clone())).unwrap();
@@ -643,7 +624,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wfc-svc-corrupt-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let ty = canonical::test_and_set(2);
-        let key = cache_key(QueryKind::Classify, &ty, &opts());
+        let key = key_of(QueryKind::Classify, &ty, &opts());
         let doc = Json::obj(vec![("verdict", Json::Str("case2".to_owned()))]);
         {
             let cache = ResultCache::new(16, Some(dir.clone())).unwrap();

@@ -11,12 +11,15 @@
 //! * [`wire`] — the `wfc-svc/v1` protocol: length-prefixed JSON frames,
 //!   [`Request`]/[`Response`], pipelining by id, structured `busy` and
 //!   budget errors.
-//! * [`analysis`] — [`run_query`], the single code path shared by the
-//!   CLI subcommands and the server workers (bit-identical results by
-//!   construction), plus the canonical-protocol registry.
-//! * [`cache`] — [`cache_key`] over `wfc_spec::hash` content hashes,
-//!   the sharded in-memory LRU, the append-only disk tier, and
-//!   single-flight deduplication.
+//! * [`analysis`] — [`Query`], the single request path: every kind
+//!   (type analyses, sched specs, scenarios) parses into one value
+//!   with one identity, one budget rule and one dispatch, shared by
+//!   the CLI subcommands, the scenario runner and the server workers
+//!   (bit-identical results by construction); plus the
+//!   canonical-protocol registry.
+//! * [`cache`] — [`cache_key`], a `wfc_spec::hash` content hash of a
+//!   query's kind and identity, the sharded in-memory LRU, the
+//!   append-only disk tier, and single-flight deduplication.
 //! * [`server`] — a readiness-driven frontend (one IO thread
 //!   multiplexing every socket over a std-only `poll(2)` wrapper, so
 //!   idle connections cost zero threads), a bounded job queue (one job
@@ -70,23 +73,14 @@ pub mod loadgen;
 mod poller;
 mod queue;
 pub mod repl_link;
-pub mod scenario;
 pub mod server;
 pub mod stats;
 pub mod wire;
 
-pub use analysis::{
-    explore_options, parse_query_type, parse_sched_spec, protocol_by_name, run_query,
-    run_query_text, run_query_text_with, run_query_with_protocol, run_sched, run_sched_with,
-    QueryError,
-};
-pub use cache::{
-    cache_key, scenario_cache_key, sched_cache_key, validate_cache_json, CacheOutcome, ResultCache,
-    CACHE_SCHEMA,
-};
+pub use analysis::{run_query_text, Query, QueryError};
+pub use cache::{cache_key, validate_cache_json, CacheOutcome, ResultCache, CACHE_SCHEMA};
 pub use client::Client;
 pub use repl_link::ReplConfig;
-pub use scenario::{run_scenario_text, run_scenario_text_with, run_scenario_with};
 pub use server::{accept_backoff, serve, ServeConfig, ServerHandle, WorkerGate};
 pub use stats::{validate_stats_json, STATS_SCHEMA};
 pub use wire::{

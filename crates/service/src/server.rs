@@ -60,18 +60,23 @@ use std::time::{Duration, Instant};
 use wfc_obs::json::Json;
 use wfc_spec::control::{CancelToken, Exhausted, Resource, Wall};
 
-use crate::analysis::{
-    explore_options, parse_query_type, parse_sched_spec, run_query, run_sched_with, QueryError,
-};
+use crate::analysis::{Query, QueryError};
 use wfc_spec::stage::Stage;
 
-use crate::cache::{cache_key, scenario_cache_key, sched_cache_key, CacheOutcome, ResultCache};
+use crate::cache::{cache_key, CacheOutcome, ResultCache};
 use crate::conn::ConnShared;
 use crate::poller::{fd_of, wait, Readiness, Waker};
 use crate::queue::{Job, JobQueue};
 use crate::repl_link::{dialer_loop, disabled_status, ReplConfig, ReplRuntime, ReplShared};
 use crate::stats::{Disposition, IntroCtx, RequestTrace, TraceOutcome};
-use crate::wire::{write_frame, FrameBuffer, QueryKind, QueryOptions, Request, Response};
+use crate::wire::{write_frame, FrameBuffer, QueryKind, Request, Response};
+
+/// The most configurations one served exploration may visit, whatever
+/// the request or a scenario's `budget` directive asks.
+const MAX_CONFIGS: usize = 4_000_000;
+
+/// The widest fan-out one served request may use (`threads`).
+const MAX_THREADS: usize = 8;
 
 /// Server configuration. `Default` gives a loopback server on an
 /// ephemeral port with two workers.
@@ -88,12 +93,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Disk cache directory (`None` disables the disk tier).
     pub cache_dir: Option<PathBuf>,
-    /// Upper clamp on a request's `max_configs`.
-    pub max_configs_limit: usize,
-    /// Upper clamp on a request's `max_depth`.
-    pub max_depth_limit: usize,
-    /// Upper clamp on a request's fan-out width, `threads`.
-    pub max_threads_limit: usize,
     /// Per-request wall-clock deadline; `None` disables the reaper.
     pub request_timeout: Option<Duration>,
     /// Connections beyond this are answered `busy` and closed.
@@ -121,9 +120,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
             cache_dir: None,
-            max_configs_limit: 4_000_000,
-            max_depth_limit: usize::MAX,
-            max_threads_limit: 8,
             request_timeout: None,
             max_connections: 8192,
             flight_capacity: 256,
@@ -959,61 +955,23 @@ fn compute_job(
     let wall = config.request_timeout.map(Wall::expires_in);
     gate.pass();
 
-    let options = clamp_options(&request.options, config);
     let token = CancelToken::new(cancel);
-    // The cache key and type name ride along with the result so a
-    // freshly computed entry can be handed to replication verbatim.
-    type Computed = (Arc<Json>, CacheOutcome, wfc_spec::hash::Hash128, String);
-    let outcome: Result<Computed, QueryError> = if request.kind == QueryKind::Sched {
-        // A sched request carries a fixture spec, not a type, and its
-        // budgets live inside the spec — the canonical rendering is
-        // the whole cache identity. The request deadline rides along
-        // out-of-band (cancel token + wall clock, polled at schedule
-        // boundaries) and is deliberately *not* part of the key:
-        // control signals never change a completed query's document.
-        parse_sched_spec(&request.type_text).and_then(|spec| {
-            let key = sched_cache_key(&spec.canonical_text());
+    // One path for every kind: the key is the query's identity, budgets
+    // included, as the client asked; the cap binds only what runs. The
+    // request deadline rides along out of band (cancel token + wall
+    // clock) and is not part of the key: control signals never change
+    // a completed query's document. The key and name ride along with
+    // the result so a freshly computed entry can be handed to
+    // replication verbatim.
+    let outcome =
+        Query::parse(request.kind, &request.type_text, &request.options).and_then(|mut query| {
+            let key = cache_key(request.kind, query.identity());
+            query.clamp(MAX_CONFIGS, MAX_THREADS);
             cache
-                .get_or_compute(key, request.kind, &spec.target, || {
-                    run_sched_with(&spec, token, wall)
-                })
-                .map(|(value, how)| (value, how, key, spec.target.clone()))
+                .get_or_compute(key, request.kind, query.name(), || query.run(token, wall))
+                .map(|(value, how)| (value, how, key, query.name().to_owned()))
                 .map_err(|e| as_deadline(e, started, config))
-        })
-    } else if request.kind == QueryKind::Scenario {
-        // A scenario request carries a whole scenario file. Its cache
-        // identity is the canonical text — respelled but canonically
-        // equal files share a cache line, exactly like sched specs.
-        // Request-level budgets deliberately do NOT apply: a cached
-        // document must be a pure function of the key, so a scenario's
-        // exploration budgets come only from its own `budget` directive
-        // (which is part of the canonical text, hence of the key).
-        // Threads ride along — they never change result bytes.
-        let scenario_options = QueryOptions::default().with_threads(options.threads);
-        wfc_scenario::parse_scenario(&request.type_text)
-            .map_err(|e| QueryError::Parse(e.to_string()))
-            .and_then(|sc| {
-                let key = scenario_cache_key(&sc.canonical_text());
-                cache
-                    .get_or_compute(key, request.kind, &sc.name, || {
-                        crate::scenario::run_scenario_with(&sc, &scenario_options, token, wall)
-                    })
-                    .map(|(value, how)| (value, how, key, sc.name.clone()))
-                    .map_err(|e| as_deadline(e, started, config))
-            })
-    } else {
-        parse_query_type(&request.type_text).and_then(|ty| {
-            let key = cache_key(request.kind, &ty, &options);
-            let mut opts = explore_options(&options).with_cancel(token);
-            opts.budget.wall = wall;
-            cache
-                .get_or_compute(key, request.kind, ty.name(), || {
-                    run_query(request.kind, &ty, &opts)
-                })
-                .map(|(value, how)| (value, how, key, ty.name().to_owned()))
-                .map_err(|e| as_deadline(e, started, config))
-        })
-    };
+        });
     *inflight[idx].deadline.lock().unwrap() = None;
 
     // A *computed* result is news to the cluster: queue it for the IO
@@ -1069,14 +1027,6 @@ fn compute_job(
         enqueue_traced(&conn, intro, &response.to_json(), trace);
     }
     waker.wake();
-}
-
-fn clamp_options(requested: &QueryOptions, config: &ServeConfig) -> QueryOptions {
-    QueryOptions {
-        max_configs: requested.max_configs.min(config.max_configs_limit),
-        max_depth: requested.max_depth.min(config.max_depth_limit),
-        threads: requested.threads.clamp(1, config.max_threads_limit.max(1)),
-    }
 }
 
 /// Normalizes a cancellation whose request deadline has elapsed into a

@@ -276,7 +276,10 @@ impl fmt::Display for QueryKind {
     }
 }
 
-/// Per-request exploration budgets, part of the cache key.
+/// Per-request exploration budgets: part of a type query's identity,
+/// hence of its cache key. Sched specs and scenarios carry their
+/// budgets in their own text and ignore these; every kind takes
+/// `threads`.
 ///
 /// `threads` is deliberately **not** part of the cache identity: every
 /// analysis in the pipeline is bit-identical across thread counts

@@ -34,8 +34,9 @@
 //!
 //! Type files use the `wfc-spec::text` format; see `wfc zoo` for
 //! examples. The JSON-producing subcommands (`access-bounds`,
-//! `theorem5`, and `query` with any kind) share one code path with the
-//! server workers, so direct and served results are byte-identical.
+//! `theorem5`, `sched`, `scenario`, and `query` with any kind) run the
+//! server workers' `wfc_service::Query`, so direct and served results
+//! are byte-identical.
 //!
 //! With `WFC_OBS=1` or `WFC_OBS_JSON=DIR`, the analysis subcommands
 //! (`classify`, `witness`, `access-bounds`, `theorem5`, `sched`,
@@ -51,21 +52,22 @@ use std::time::Duration;
 
 use wait_free_consensus::prelude::*;
 use wfc_obs::json::Json;
-use wfc_service::{Client, QueryKind, QueryOptions, ReplConfig, Response, ServeConfig, PROTO};
+use wfc_service::{
+    Client, Query, QueryError, QueryKind, QueryOptions, ReplConfig, Response, ServeConfig, PROTO,
+};
 use wfc_spec::control::{CancelToken, Wall};
 use wfc_spec::text::{format_type, parse_type};
 use wfc_spec::FiniteType;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs\n    --threads N           workers for independent explorations\n\n  Each subcommand accepts only the flags listed for it; any other flag\n  is an error."
+        "usage:\n  wfc classify <TYPE-FILE>\n  wfc witness <TYPE-FILE>\n  wfc show <TYPE-FILE>\n  wfc catalog\n  wfc zoo\n  wfc type <NAME>\n  wfc access-bounds <TYPE-FILE> [CONTROL-FLAGS]\n  wfc theorem5 <TYPE-FILE> [CONTROL-FLAGS]\n  wfc sched <TARGET> [mode=dfs|preempt|pct] [seed=N] [runs=N] [depth=N]\n            [preemptions=N] [budget=N] [steps=N] [sleep=on|off]\n            [replay=SCHEDULE] [CONTROL-FLAGS] [--addr HOST:PORT]\n    (TARGET: srsw | seqlock | t4 | mrsw | repl | regular | broken | repl_broken)\n  wfc scenario run <FILE> [--addr HOST:PORT] [CONTROL-FLAGS]\n  wfc scenario check <FILE-OR-DIR>... [CONTROL-FLAGS]\n  wfc scenario list <FILE-OR-DIR>...\n    (scenario files use the wfc-scenario language; directories are\n     swept for *.scn, sorted by name)\n  wfc serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]\n            [--queue-capacity N] [--cache-capacity N] [--timeout-ms N]\n            [--max-connections N] [--flight-capacity N]\n            [--anomaly-threshold-ms N]\n            [--node-id N --data-dir DIR [--peer ID=HOST:PORT ...]\n             [--compact-threshold N]]\n  wfc query <KIND> <TYPE-FILE> --addr HOST:PORT [CONTROL-FLAGS]\n    (KIND: classify | witness | access-bounds | theorem5 | verify-consensus | sched | scenario)\n  wfc loadgen --addr HOST:PORT [--connections N] [--pipeline N]\n              [--duration-ms N] [--rate N] [--mode closed|open|both]\n              [--out FILE]\n  wfc stats --addr HOST:PORT [--json]\n  wfc top --addr HOST:PORT [--interval-ms N] [--iterations N]\n  wfc cluster-status --addr HOST:PORT [--json]\n\n  `query`, `stats`, `sched --addr`, and `cluster-status` accept --addr\n  repeatedly plus --retries N: addresses are tried in rotation with a\n  capped exponential backoff between passes.\n\n  CONTROL-FLAGS (uniform across analysis subcommands):\n    --budget-configs N    explorer configuration budget (alias: --max-configs)\n                          type queries; scenarios (`budget configs=N`)\n    --budget-depth N      explorer depth budget (alias: --max-depth)\n                          type queries; scenarios (`budget depth=N`)\n    --budget-schedules N  sched schedule budget (= spec `budget=N`)\n                          sched; scenarios (`budget schedules=N`)\n    --budget-steps N      sched per-execution step cap (= spec `steps=N`)\n                          sched; scenarios (`budget steps=N`)\n    --timeout-ms N        wall-clock deadline for direct runs (not --addr)\n    --threads N           workers for independent explorations\n\n  A budget flag overrides the same budget in a sched spec or a\n  scenario's `budget` directive, direct and served alike. A budget flag\n  the query kind cannot carry is an error, and so is any flag a\n  subcommand does not list."
     );
     ExitCode::from(2)
 }
 
 fn load(path: &str) -> Result<FiniteType, Box<dyn Error>> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(parse_type(&src)?)
+    Ok(parse_type(&read(path)?)?)
 }
 
 fn cmd_show(path: &str) -> Result<(), Box<dyn Error>> {
@@ -312,76 +314,117 @@ impl Flags {
 }
 
 /// The uniform control-plane flags shared by every analysis subcommand
-/// (`access-bounds`, `theorem5`, `query`, `sched`): explorer budgets
-/// `--budget-configs` / `--budget-depth` (with `--max-configs` /
-/// `--max-depth` kept as aliases), sched budgets `--budget-schedules` /
-/// `--budget-steps`, a wall-clock `--timeout-ms`, and `--threads`. One
-/// parser, so every subcommand spells its limits the same way.
+/// (`access-bounds`, `theorem5`, `query`, `sched`, `scenario`):
+/// explorer budgets `--budget-configs` / `--budget-depth` (with
+/// `--max-configs` / `--max-depth` kept as aliases), sched budgets
+/// `--budget-schedules` / `--budget-steps`, a wall-clock `--timeout-ms`
+/// for direct runs, and `--threads`. One parser, so every subcommand
+/// spells its limits the same way.
 struct ControlFlags {
-    options: QueryOptions,
+    configs: Option<u64>,
+    depth: Option<u64>,
     schedules: Option<u64>,
     steps: Option<u64>,
+    threads: usize,
     timeout: Option<Duration>,
 }
 
 impl ControlFlags {
     fn parse(flags: &Flags) -> Result<ControlFlags, Box<dyn Error>> {
-        let d = QueryOptions::default();
-        let aliased = |new: &str, old: &str, default: usize| -> Result<usize, Box<dyn Error>> {
-            match flags.get(new) {
-                Some(_) => flags.get_usize(new, default),
-                None => flags.get_usize(old, default),
-            }
+        let aliased = |new: &str, old: &str| match flags.get(new) {
+            Some(_) => flags.get_u64_opt(new),
+            None => flags.get_u64_opt(old),
         };
         Ok(ControlFlags {
-            options: QueryOptions {
-                max_configs: aliased("--budget-configs", "--max-configs", d.max_configs)?,
-                max_depth: aliased("--budget-depth", "--max-depth", d.max_depth)?,
-                threads: flags.get_usize("--threads", d.threads)?,
-            },
+            configs: aliased("--budget-configs", "--max-configs")?,
+            depth: aliased("--budget-depth", "--max-depth")?,
             schedules: flags.get_u64_opt("--budget-schedules")?,
             steps: flags.get_u64_opt("--budget-steps")?,
+            threads: flags.get_usize("--threads", QueryOptions::default().threads)?,
             timeout: flags
                 .get_u64_opt("--timeout-ms")?
                 .map(Duration::from_millis),
         })
     }
 
-    /// The wall-clock deadline for a *direct* run, armed at call time.
-    /// (Served runs are governed by the server's own `--timeout-ms`.)
-    fn wall(&self) -> Option<Wall> {
-        self.timeout.map(Wall::expires_in)
+    /// The request for `text` as a `kind` query, with the budget flags
+    /// folded in where that kind carries its budgets: a type query's
+    /// options, a sched spec's words (appended, and the spec grammar
+    /// resolves later keys last, so flags win over in-line spellings),
+    /// a scenario's `budget` directive (flags win over the file's keys;
+    /// without a flag the text is sent unchanged). A budget flag the
+    /// kind cannot carry is an error, never silently dropped.
+    fn request(
+        &self,
+        kind: QueryKind,
+        mut text: String,
+    ) -> Result<(String, QueryOptions), Box<dyn Error>> {
+        let (explorer, sched) = match kind {
+            QueryKind::Sched => (false, true),
+            QueryKind::Scenario => (true, true),
+            QueryKind::Stats => (false, false),
+            _ => (true, false),
+        };
+        for (flag, value, carried) in [
+            ("--budget-configs", self.configs, explorer),
+            ("--budget-depth", self.depth, explorer),
+            ("--budget-schedules", self.schedules, sched),
+            ("--budget-steps", self.steps, sched),
+        ] {
+            if value.is_some() && !carried {
+                return Err(format!("`{flag}` does not apply to `{kind}` queries").into());
+            }
+        }
+        let mut options = QueryOptions::default().with_threads(self.threads);
+        let budgets = [self.configs, self.depth, self.schedules, self.steps];
+        match kind {
+            QueryKind::Sched => {
+                for (key, value) in [("budget", self.schedules), ("steps", self.steps)] {
+                    if let Some(n) = value {
+                        text.push_str(&format!(" {key}={n}"));
+                    }
+                }
+            }
+            QueryKind::Scenario if budgets.iter().any(Option::is_some) => {
+                let mut sc = wfc_scenario::parse_scenario(&text)
+                    .map_err(|e| QueryError::Parse(e.to_string()))?;
+                let b = &mut sc.budget;
+                b.configs = self.configs.or(b.configs);
+                b.depth = self.depth.or(b.depth);
+                b.schedules = self.schedules.or(b.schedules);
+                b.steps = self.steps.or(b.steps);
+                text = sc.canonical_text();
+            }
+            _ => {
+                let bound =
+                    |v: Option<u64>, d| v.map_or(d, |v| usize::try_from(v).unwrap_or(usize::MAX));
+                options.max_configs = bound(self.configs, options.max_configs);
+                options.max_depth = bound(self.depth, options.max_depth);
+            }
+        }
+        Ok((text, options))
     }
 
-    /// Sched budgets as `key=value` words appended after the user's own
-    /// spec words — the spec grammar resolves later keys last, so the
-    /// flags win over in-line spellings, and the canonical text (hence
-    /// the cache key) comes out the same however the budget was spelled.
-    fn sched_suffix(&self) -> String {
-        let mut out = String::new();
-        if let Some(n) = self.schedules {
-            out.push_str(&format!(" budget={n}"));
-        }
-        if let Some(n) = self.steps {
-            out.push_str(&format!(" steps={n}"));
-        }
-        out
+    /// Runs `text` as a `kind` query right here: the same [`Query`] the
+    /// server workers run, under `--timeout-ms`.
+    fn run(&self, kind: QueryKind, text: String) -> Result<Json, Box<dyn Error>> {
+        let (text, options) = self.request(kind, text)?;
+        let wall = self.timeout.map(Wall::expires_in);
+        Ok(Query::parse(kind, &text, &options)?.run(CancelToken::NONE, wall)?)
     }
+}
+
+/// Reads a query's input file.
+fn read(path: impl AsRef<std::path::Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))
 }
 
 /// `access-bounds` / `theorem5`: the same engine the server workers
 /// run, printed as the canonical JSON document.
 fn cmd_direct_query(kind: QueryKind, path: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let flags = Flags::parse(rest, &[CONTROL])?;
-    let control = ControlFlags::parse(&flags)?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let doc = wfc_service::run_query_text_with(
-        kind,
-        &src,
-        &control.options,
-        CancelToken::NONE,
-        control.wall(),
-    )?;
+    let doc = ControlFlags::parse(&flags)?.run(kind, read(path)?)?;
     println!("{}", doc.render());
     Ok(())
 }
@@ -818,21 +861,30 @@ fn cmd_query(kind_name: &str, path: &str, rest: &[String]) -> Result<ExitCode, B
         QueryKind::parse(kind_name).ok_or_else(|| format!("unknown query kind `{kind_name}`"))?;
     let flags = Flags::parse(rest, &[CONTROL, CLIENT])?;
     let control = ControlFlags::parse(&flags)?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    served_query(kind, &src, &control.options, &flags, "wfc query")
+    served_query(kind, read(path)?, &control, &flags, "wfc query")
 }
 
 /// Sends one query to a server (with address failover) and prints the
-/// response; shared by `wfc query` and `wfc sched --addr`.
+/// response; shared by `wfc query`, `wfc sched --addr` and
+/// `wfc scenario run --addr`. The control flags are folded into the
+/// request before anything is sent.
 fn served_query(
     kind: QueryKind,
-    text: &str,
-    options: &QueryOptions,
+    text: String,
+    control: &ControlFlags,
     flags: &Flags,
     who: &str,
 ) -> Result<ExitCode, Box<dyn Error>> {
+    if control.timeout.is_some() {
+        return Err(
+            "`--timeout-ms` bounds direct runs; a served query's deadline is \
+                    the server's own `--timeout-ms`"
+                .into(),
+        );
+    }
+    let (text, options) = control.request(kind, text)?;
     let mut client = connect_cluster(flags, who)?;
-    let response = client.query(kind, text, options)?;
+    let response = client.query(kind, &text, &options)?;
     match &response {
         Response::Ok { result, cached, .. } => {
             eprintln!("# cached: {cached}");
@@ -879,29 +931,12 @@ fn cmd_sched(rest: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     }
     let flags = Flags::parse(flag_args, &[CONTROL, CLIENT])?;
     let control = ControlFlags::parse(&flags)?;
-    // Budget flags append `key=value` words; last key wins in the spec
-    // grammar, so the flags override any in-line spelling.
-    let text = spec_words.join(" ") + &control.sched_suffix();
-    match flags.get("--addr") {
-        Some(_) => served_query(
-            QueryKind::Sched,
-            &text,
-            &QueryOptions::default(),
-            &flags,
-            "wfc sched",
-        ),
-        None => {
-            let doc = wfc_service::run_query_text_with(
-                QueryKind::Sched,
-                &text,
-                &QueryOptions::default(),
-                CancelToken::NONE,
-                control.wall(),
-            )?;
-            println!("{}", doc.render());
-            Ok(ExitCode::SUCCESS)
-        }
+    let text = spec_words.join(" ");
+    if flags.get("--addr").is_some() {
+        return served_query(QueryKind::Sched, text, &control, &flags, "wfc sched");
     }
+    println!("{}", control.run(QueryKind::Sched, text)?.render());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Expands a `wfc scenario` path argument: a file stands for itself, a
@@ -930,22 +965,17 @@ fn scenario_files(path: &str) -> Result<Vec<std::path::PathBuf>, Box<dyn Error>>
 /// The exit code reflects the document's `pass` verdict.
 fn cmd_scenario_run(path: &str, flags: &Flags) -> Result<ExitCode, Box<dyn Error>> {
     let control = ControlFlags::parse(flags)?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let src = read(path)?;
     if flags.get("--addr").is_some() {
         return served_query(
             QueryKind::Scenario,
-            &src,
-            &QueryOptions::default(),
+            src,
+            &control,
             flags,
             "wfc scenario run",
         );
     }
-    let doc = wfc_service::run_scenario_text_with(
-        &src,
-        &control.options,
-        CancelToken::NONE,
-        control.wall(),
-    )?;
+    let doc = control.run(QueryKind::Scenario, src)?;
     println!("{}", doc.render());
     Ok(match doc.get("pass") {
         Some(Json::Bool(true)) => ExitCode::SUCCESS,
@@ -964,14 +994,7 @@ fn cmd_scenario_check(paths: &[String], flags: &Flags) -> Result<ExitCode, Box<d
         for file in scenario_files(arg)? {
             total += 1;
             let shown = file.display();
-            let src = std::fs::read_to_string(&file)
-                .map_err(|e| format!("cannot read `{shown}`: {e}"))?;
-            let doc = match wfc_service::run_scenario_text_with(
-                &src,
-                &control.options,
-                CancelToken::NONE,
-                control.wall(),
-            ) {
+            let doc = match control.run(QueryKind::Scenario, read(&file)?) {
                 Ok(doc) => doc,
                 Err(e) => {
                     failed += 1;
@@ -1012,9 +1035,8 @@ fn cmd_scenario_list(paths: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     for arg in paths {
         for file in scenario_files(arg)? {
             let shown = file.display();
-            let src = std::fs::read_to_string(&file)
-                .map_err(|e| format!("cannot read `{shown}`: {e}"))?;
-            let sc = wfc_scenario::parse_scenario(&src).map_err(|e| format!("{shown}: {e}"))?;
+            let sc =
+                wfc_scenario::parse_scenario(&read(&file)?).map_err(|e| format!("{shown}: {e}"))?;
             let kinds: Vec<&str> = sc.queries.iter().map(|q| q.kind.as_str()).collect();
             println!(
                 "{:<20} type={:<18} protocol={:<14} queries={}",

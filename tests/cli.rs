@@ -206,7 +206,111 @@ fn unknown_flags_fail_instead_of_being_ignored() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("budget of 1"), "{err}");
+
+    // A budget the query kind cannot carry fails too, direct or served,
+    // and before anything is sent (nothing listens on port 1).
+    for (args, flag, kind) in [
+        (
+            vec!["access-bounds", path, "--budget-schedules", "1"],
+            "--budget-schedules",
+            "access-bounds",
+        ),
+        (
+            vec![
+                "query",
+                "classify",
+                path,
+                "--budget-steps",
+                "1",
+                "--addr",
+                "127.0.0.1:1",
+            ],
+            "--budget-steps",
+            "classify",
+        ),
+        (
+            vec!["sched", "srsw", "--budget-configs", "1"],
+            "--budget-configs",
+            "sched",
+        ),
+    ] {
+        let out = wfc(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("`{flag}` does not apply to `{kind}` queries")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
     std::fs::remove_file(path).ok();
+}
+
+/// Budget flags bind the same way direct and served: a scenario takes
+/// them into its `budget` directive, a sched spec into its words.
+#[test]
+fn budget_flags_bind_alike_direct_and_served() {
+    let handle = wfc_service::serve(wfc_service::ServeConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    let spec = write_temp("budget-sched", "srsw mode=pct runs=16\n");
+    let spec = spec.to_str().unwrap();
+    let scenario = "scenarios/cas-announce.scn";
+    let cases = [
+        (
+            "10 configurations",
+            vec!["scenario", "run", scenario, "--budget-configs", "10"],
+        ),
+        (
+            "10 configurations",
+            vec![
+                "scenario",
+                "run",
+                scenario,
+                "--budget-configs",
+                "10",
+                "--addr",
+                &addr,
+            ],
+        ),
+        (
+            "1 schedules",
+            vec!["sched", "srsw", "--budget-schedules", "1"],
+        ),
+        (
+            "1 schedules",
+            vec!["sched", "srsw", "--budget-schedules", "1", "--addr", &addr],
+        ),
+        (
+            "1 schedules",
+            vec![
+                "query",
+                "sched",
+                spec,
+                "--budget-schedules",
+                "1",
+                "--addr",
+                &addr,
+            ],
+        ),
+    ];
+    for (budget, args) in cases {
+        let out = wfc(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("exceeded the budget of {budget}")),
+            "{args:?}: {err}"
+        );
+        if args.contains(&"--addr") {
+            let frame = String::from_utf8(out.stdout).unwrap();
+            assert!(
+                frame.contains(r#""code":"budget-exceeded""#),
+                "{args:?}: {frame}"
+            );
+        }
+    }
+    std::fs::remove_file(spec).ok();
+    handle.shutdown();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Golden table for the scenario runner.
 //!
 //! Every scenario of the checked-in corpus (`scenarios/*.scn`, in file
-//! name order) is run through `run_scenario_text` with explorer threads
+//! name order) is run through `run_query_text` with explorer threads
 //! 1 and 4, and its rendered `wfc-scenario/v1` document is pinned byte
 //! for byte in `tests/golden/scenarios.txt`.
 //!
@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use wfc_service::{run_scenario_text, QueryOptions};
+use wfc_service::{run_query_text, QueryKind, QueryOptions};
 
 const GOLDEN: &str = include_str!("golden/scenarios.txt");
 
@@ -60,7 +60,7 @@ fn table() -> String {
         for threads in THREADS {
             let options = QueryOptions::default().with_threads(threads);
             let _ = writeln!(out, "case {name} threads={threads}");
-            match run_scenario_text(text, &options) {
+            match run_query_text(QueryKind::Scenario, text, &options) {
                 Ok(doc) => {
                     let _ = writeln!(out, "  {}", doc.render());
                 }

@@ -286,7 +286,7 @@ fn served_sched_results_are_byte_identical_to_direct_calls() {
 }
 
 /// The `scenario` query kind: a served scenario file returns the same
-/// bytes as the direct `run_scenario_text` call, a repeat is served
+/// bytes as the direct `run_query_text` call, a repeat is served
 /// from cache, and a respelled-but-canonically-equal file (alias
 /// spelling, comments, implicit defaults, reordered words) lands on the
 /// same cache line.
@@ -301,7 +301,7 @@ type builtin test_and_set
 query classify expect=non-trivial
 query witness expect=non-trivial
 ";
-    let direct = wfc_service::run_scenario_text(text, &options)
+    let direct = wfc_service::run_query_text(QueryKind::Scenario, text, &options)
         .expect("direct scenario run")
         .render();
     assert!(
